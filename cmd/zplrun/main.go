@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	zplrun [-machine t3d|paragon] [-lib pvm|shmem|csend|isend|hsend]
+//	zplrun [-machine t3d|paragon|rdma] [-lib pvm|shmem|csend|isend|hsend|verbs]
 //	       [-procs N] [-O level] [-set name=value]...
 //	       [-collective auto|star|tree|butterfly|twolevel]
 //	       [-sched-workers N] [-legacy-sched] [-no-fuse] [-no-overlap]
@@ -15,6 +15,11 @@
 //	       file.zpl
 //	zplrun -bench swm -procs 64 -O pl -lib shmem
 //	zplrun -bench tomcatv -O pl -trace tomcatv.trace.json   # open in Perfetto
+//
+// Without -lib a run uses the machine's own default binding: pvm on the
+// T3D, csend on the Paragon, verbs on the RDMA cluster. Exit status: 0 on
+// success, 1 when the run fails (bad program, level, machine, binding or
+// processor count), 2 on malformed flags.
 package main
 
 import (
@@ -59,7 +64,7 @@ func (c configFlags) Set(v string) error {
 // options collects everything one zplrun invocation needs.
 type options struct {
 	mach        string
-	lib         string
+	lib         string // "" = the machine's default binding
 	procs       int
 	level       string
 	bench       string
@@ -78,32 +83,43 @@ type options struct {
 	args        []string
 }
 
-func main() {
-	o := options{cfg: configFlags{}}
-	flag.StringVar(&o.mach, "machine", "t3d", "simulated machine: t3d or paragon")
-	flag.StringVar(&o.lib, "lib", "pvm", "communication library binding")
-	flag.IntVar(&o.procs, "procs", 64, fmt.Sprintf("virtual processor count (1..%d)", grid.MaxProcs))
-	flag.StringVar(&o.level, "O", "pl", "optimization level: baseline, rr, cc, pl, pl-maxlat")
-	flag.StringVar(&o.coll, "collective", "auto", "allreduce algorithm: auto, star, tree, butterfly, twolevel (auto = cheapest eligible under the cost model)")
-	flag.StringVar(&o.bench, "bench", "", "run a bundled benchmark instead of a file")
-	flag.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON timeline (virtual time) to `file`")
-	flag.BoolVar(&o.critpath, "critpath", false, "record the happens-before DAG and print the critical-path analysis (every nanosecond attributed to a statement, callsite or hop)")
-	flag.BoolVar(&o.profile, "profile", false, "print the per-callsite communication profile")
-	flag.BoolVar(&o.metrics, "metrics", false, "print the run's metrics registry (counters and histograms)")
-	flag.StringVar(&o.metricsJSON, "metrics-json", "", "write the metrics registry as JSON to `file`")
-	flag.BoolVar(&o.legacyComm, "legacy-comm", false, "use the allocating per-rectangle communication path instead of the pooled pack/unpack engine (identical results, differential oracle)")
-	flag.BoolVar(&o.legacySched, "legacy-sched", false, "run one goroutine per virtual processor instead of the M:N scheduler (identical results, differential oracle; impractical beyond a few thousand procs)")
-	flag.BoolVar(&o.noFuse, "no-fuse", false, "execute every array statement through its own kernel instead of fusing adjacent statements into one sweep (identical results, differential oracle)")
-	flag.BoolVar(&o.noOverlap, "no-overlap", false, "charge compiled pack+send host work synchronously instead of overlapping it with kernel execution (identical results, differential oracle)")
-	flag.IntVar(&o.schedWork, "sched-workers", 0, "M:N scheduler worker-pool size (0 = GOMAXPROCS); results are identical at any setting")
-	flag.Var(o.cfg, "set", "override a config variable, e.g. -set n=64 (repeatable)")
-	flag.Parse()
-	o.args = flag.Args()
+func main() { os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if err := run(os.Stdout, o); err != nil {
-		fmt.Fprintln(os.Stderr, "zplrun:", err)
-		os.Exit(1)
+// realMain parses args, runs, and returns the process exit status.
+func realMain(args []string, stdout, stderr io.Writer) int {
+	o := options{cfg: configFlags{}}
+	fs := flag.NewFlagSet("zplrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.mach, "machine", "t3d", "simulated machine: t3d, paragon or rdma")
+	fs.StringVar(&o.lib, "lib", "", "communication library binding (default: the machine's — pvm on t3d, csend on paragon, verbs on rdma)")
+	fs.IntVar(&o.procs, "procs", 64, fmt.Sprintf("virtual processor count (1..%d)", grid.MaxProcs))
+	fs.StringVar(&o.level, "O", "pl", "optimization level: baseline, rr, cc, pl, pl-maxlat")
+	fs.StringVar(&o.coll, "collective", "auto", "allreduce algorithm: auto, star, tree, butterfly, twolevel (auto = cheapest eligible under the cost model)")
+	fs.StringVar(&o.bench, "bench", "", "run a bundled benchmark instead of a file")
+	fs.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON timeline (virtual time) to `file`")
+	fs.BoolVar(&o.critpath, "critpath", false, "record the happens-before DAG and print the critical-path analysis (every nanosecond attributed to a statement, callsite or hop)")
+	fs.BoolVar(&o.profile, "profile", false, "print the per-callsite communication profile")
+	fs.BoolVar(&o.metrics, "metrics", false, "print the run's metrics registry (counters and histograms)")
+	fs.StringVar(&o.metricsJSON, "metrics-json", "", "write the metrics registry as JSON to `file`")
+	fs.BoolVar(&o.legacyComm, "legacy-comm", false, "use the allocating per-rectangle communication path instead of the pooled pack/unpack engine (identical results, differential oracle)")
+	fs.BoolVar(&o.legacySched, "legacy-sched", false, "run one goroutine per virtual processor instead of the M:N scheduler (identical results, differential oracle; impractical beyond a few thousand procs)")
+	fs.BoolVar(&o.noFuse, "no-fuse", false, "execute every array statement through its own kernel instead of fusing adjacent statements into one sweep (identical results, differential oracle)")
+	fs.BoolVar(&o.noOverlap, "no-overlap", false, "charge compiled pack+send host work synchronously instead of overlapping it with kernel execution (identical results, differential oracle)")
+	fs.IntVar(&o.schedWork, "sched-workers", 0, "M:N scheduler worker-pool size (0 = GOMAXPROCS); results are identical at any setting")
+	fs.Var(o.cfg, "set", "override a config variable, e.g. -set n=64 (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
+	o.args = fs.Args()
+
+	if err := run(stdout, o); err != nil {
+		fmt.Fprintln(stderr, "zplrun:", err)
+		return 1
+	}
+	return 0
 }
 
 func optionsByName(name string) (comm.Options, error) {
@@ -156,6 +172,9 @@ func run(w io.Writer, o options) error {
 	mach, err := machine.ByName(o.mach)
 	if err != nil {
 		return err
+	}
+	if o.lib == "" {
+		o.lib = mach.DefaultLib
 	}
 	if o.coll == "" {
 		o.coll = "auto" // zero options value (tests construct options directly)

@@ -339,3 +339,50 @@ func TestRunObservabilityErrors(t *testing.T) {
 		t.Errorf("unwritable -metrics-json path: err = %v", err)
 	}
 }
+
+// TestRealMainExitCodes drives the command line end to end: malformed
+// flags exit 2 with the flag package's message, a failing run exits 1
+// with one "zplrun:" line, and every machine runs without -lib on its
+// own default binding.
+func TestRealMainExitCodes(t *testing.T) {
+	good := writeTemp(t, laplaceSrc)
+	small := []string{"-procs", "4", "-set", "n=8", "-set", "iters=1"}
+	cases := []struct {
+		name    string
+		args    []string
+		code    int
+		wantOut string // substring of stdout (success) or stderr (failure)
+	}{
+		{"t3d default lib", append(small, good), 0, "Cray T3D (pvm)"},
+		{"rdma default lib", append([]string{"-machine", "rdma"}, append(small, good)...), 0, "RDMA cluster (verbs)"},
+		{"paragon default lib", append([]string{"-machine", "paragon"}, append(small, good)...), 0, "Intel Paragon (csend)"},
+		{"rdma explicit lib", append([]string{"-machine", "rdma", "-lib", "verbs"}, append(small, good)...), 0, "(verbs)"},
+		{"rdma with t3d lib", append([]string{"-machine", "rdma", "-lib", "pvm"}, append(small, good)...), 1, `unknown library "pvm" (have [verbs])`},
+		{"unknown machine", append([]string{"-machine", "cm5"}, append(small, good)...), 1, "unknown machine"},
+		{"zero procs", []string{"-procs", "0", good}, 1, "processor count"},
+		{"no input", small, 1, "usage"},
+		{"unknown flag", []string{"-bogus", good}, 2, "flag provided but not defined"},
+		{"non-numeric procs", []string{"-procs", "many", good}, 2, "invalid value"},
+		{"malformed set", []string{"-set", "n", good}, 2, "expected name=value"},
+		{"help", []string{"-h"}, 0, "-machine"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			code := realMain(c.args, &stdout, &stderr)
+			if code != c.code {
+				t.Fatalf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", code, c.code, stdout.String(), stderr.String())
+			}
+			got := stdout.String()
+			if c.code != 0 || c.name == "help" {
+				got = stderr.String()
+			}
+			if !strings.Contains(got, c.wantOut) {
+				t.Errorf("output does not mention %q:\n%s", c.wantOut, got)
+			}
+			if c.code == 1 && strings.Count(stderr.String(), "\n") != 1 {
+				t.Errorf("a failed run should print one error line, got:\n%s", stderr.String())
+			}
+		})
+	}
+}

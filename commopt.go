@@ -93,8 +93,8 @@ func (p *Program) Inlined() *Program {
 
 // RunOptions selects the simulated environment for Run.
 type RunOptions struct {
-	Machine string // "t3d" (default) or "paragon"
-	Library string // "pvm" (default), "shmem", "csend", "isend", "hsend"
+	Machine string // "t3d" (default), "paragon" or "rdma"
+	Library string // "pvm", "shmem", "csend", "isend", "hsend", "verbs"; default: the machine's (pvm on the T3D)
 	Procs   int    // default 64
 	Configs map[string]float64
 
@@ -144,15 +144,15 @@ func (p *Program) Run(plan *comm.Plan, opts RunOptions) (*rt.Result, error) {
 	if opts.Machine == "" {
 		opts.Machine = "t3d"
 	}
-	if opts.Library == "" {
-		opts.Library = "pvm"
-	}
 	if opts.Procs == 0 {
 		opts.Procs = 64
 	}
 	mach, err := machine.ByName(opts.Machine)
 	if err != nil {
 		return nil, err
+	}
+	if opts.Library == "" {
+		opts.Library = mach.DefaultLib
 	}
 	if opts.Collective == "" {
 		opts.Collective = "auto"

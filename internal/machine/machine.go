@@ -100,6 +100,8 @@ type Machine struct {
 	Jitter float64
 
 	Libs map[string]*Lib
+	// DefaultLib names the binding a run uses when none is given.
+	DefaultLib string
 }
 
 // Lib returns the named library model or an error listing the choices.
@@ -107,11 +109,7 @@ func (m *Machine) Lib(name string) (*Lib, error) {
 	if l, ok := m.Libs[name]; ok {
 		return l, nil
 	}
-	names := make([]string, 0, len(m.Libs))
-	for n := range m.Libs {
-		names = append(names, n)
-	}
-	return nil, fmt.Errorf("machine %s: unknown library %q (have %v)", m.Name, name, names)
+	return nil, fmt.Errorf("machine %s: unknown library %q (have %v)", m.Name, name, m.LibNames())
 }
 
 func us(v float64) vtime.Duration { return vtime.FromMicros(v) }
@@ -128,6 +126,7 @@ func Paragon() *Machine {
 		OpTime:           90,  // ns per arithmetic op per element
 		StmtOverhead:     us(3),
 		Jitter:           0.08,
+		DefaultLib:       "csend",
 		Libs: map[string]*Lib{
 			"csend": {
 				Name:   "csend/crecv",
@@ -163,6 +162,7 @@ func T3D() *Machine {
 		OpTime:           50,  // ns per arithmetic op per element (memory-bound stencil code)
 		StmtOverhead:     us(1.5),
 		Jitter:           0.08,
+		DefaultLib:       "pvm",
 		Libs: map[string]*Lib{
 			"pvm": {
 				Name:   "PVM",
@@ -202,6 +202,7 @@ func RDMA() *Machine {
 		OpTime:           1,  // ns per arithmetic op per element (memory-bound)
 		StmtOverhead:     us(0.2),
 		Jitter:           0.08,
+		DefaultLib:       "verbs",
 		Libs: map[string]*Lib{
 			"verbs": {
 				Name:   "RDMA verbs (one-sided put)",

@@ -67,10 +67,11 @@ func neighborDirs(off grid.Offset) [][2]int {
 // geometry computes the send and receive rectangles of transfer t over
 // statement region reg for this processor. Both sides of every pair
 // compute identical rectangles from replicated state, so message contents
-// never need negotiation.
+// never need negotiation. Empty rectangles are stored canonically, so two
+// regions that yield the same data movement yield identical schedules.
 func (p *proc) geometry(t *comm.Transfer, reg grid.Region) *commSched {
 	w := p.w
-	st := &commSched{reg: reg}
+	st := &commSched{}
 	iterMe := w.localRegion(reg, p.row, p.col)
 	for _, d := range neighborDirs(t.Offset) {
 		// Receive side: data I need from the neighbor at displacement d.
@@ -80,7 +81,7 @@ func (p *proc) geometry(t *comm.Transfer, reg grid.Region) *commSched {
 			pr := packPair{peer: src, slot: slot, back: p.backSlots[slot], rects: make([]grid.Region, len(t.Items))}
 			for n, a := range t.Items {
 				owned := w.localRegion(w.regionVals[a.Region.ID], srcRow, srcCol)
-				rect := iterMe.Shift(t.Offset).Intersect(owned)
+				rect := canonical(iterMe.Shift(t.Offset).Intersect(owned))
 				pr.rects[n] = rect
 				if !rect.Empty() {
 					pr.bytes += rect.Size() * 8
@@ -96,7 +97,7 @@ func (p *proc) geometry(t *comm.Transfer, reg grid.Region) *commSched {
 			pr := packPair{peer: dst, slot: slot, back: p.backSlots[slot], rects: make([]grid.Region, len(t.Items))}
 			for n, a := range t.Items {
 				owned := w.localRegion(w.regionVals[a.Region.ID], p.row, p.col)
-				rect := iterDst.Shift(t.Offset).Intersect(owned)
+				rect := canonical(iterDst.Shift(t.Offset).Intersect(owned))
 				pr.rects[n] = rect
 				if !rect.Empty() {
 					pr.bytes += rect.Size() * 8
@@ -108,36 +109,16 @@ func (p *proc) geometry(t *comm.Transfer, reg grid.Region) *commSched {
 	return st
 }
 
-// state returns the transfer's schedule, opening it on the first IRONMAN
-// call of a DR..SV sequence. The schedule itself comes from the
-// persistent compiled cache; the open slice (indexed by the transfer's
-// per-block ID) only tracks which transfers are open so block boundaries
-// can assert every sequence completed.
-func (p *proc) state(t *comm.Transfer) *commSched {
-	if t.ID < len(p.open) {
-		if st := p.open[t.ID]; st != nil {
-			return st
-		}
-	} else {
-		grown := make([]*commSched, t.ID+8)
-		copy(grown, p.open)
-		p.open = grown
-	}
-	st := p.sched(t, p.evalRegion(t.Region))
-	p.open[t.ID] = st
-	p.openCount++
-	return st
-}
-
 // execCall performs one IRONMAN call under the current library binding.
 // With observability enabled it brackets the call to attribute the
 // clock's communication and wait deltas (and any messages sent) to the
 // transfer's source callsites, and records the call as a trace span.
-func (p *proc) execCall(c comm.Call) {
+func (p *proc) execCall(o *op) {
 	if p.tr == nil && p.prof == nil && p.met == nil && p.cpl == nil {
-		p.dispatchCall(c)
+		p.dispatchCall(o)
 		return
 	}
+	c := o.call
 	var prevLabel, prevSite string
 	if p.cpl != nil {
 		prevLabel, prevSite = p.cpl.Context(p.callLabel(c.Kind, c.T), p.callSite(c.T))
@@ -145,7 +126,7 @@ func (p *proc) execCall(c comm.Call) {
 	start := p.clock
 	comm0, wait0 := p.commT, p.waitT
 	msgs0, bytes0 := p.messages, p.bytesSent
-	p.dispatchCall(c)
+	p.dispatchCall(o)
 	if p.cpl != nil {
 		p.cpl.Context(prevLabel, prevSite)
 	}
@@ -170,20 +151,26 @@ func (p *proc) execCall(c comm.Call) {
 	}
 }
 
-// dispatchCall routes one IRONMAN call to its executor.
-func (p *proc) dispatchCall(c comm.Call) {
+// dispatchCall routes one IRONMAN call to its executor. The first call of
+// a DR..SV sequence resolves the transfer's schedule into the sequence's
+// slot; the later calls read it from there.
+func (p *proc) dispatchCall(o *op) {
 	lib := p.w.lib
-	st := p.state(c.T)
-	switch c.Kind {
+	sl := &p.slots[o.slot]
+	if o.open {
+		p.resolveSched(o, sl)
+		p.openCount++
+	}
+	st, t := sl.st, o.call.T
+	switch o.call.Kind {
 	case comm.DR:
 		p.execDR(st, lib)
 	case comm.SR:
-		p.execSR(c.T, st, lib)
+		p.execSR(t, st, lib)
 	case comm.DN:
-		p.execDN(c.T, st, lib)
+		p.execDN(t, st, lib)
 	case comm.SV:
-		p.execSV(c.T, st, lib)
-		p.open[c.T.ID] = nil
+		p.execSV(t, st, lib)
 		p.openCount--
 	}
 }

@@ -80,14 +80,14 @@ func (pr *packPair) unpack(flat []float64) {
 // commSched is the compiled communication schedule of one transfer over
 // one resolved statement region.
 type commSched struct {
-	reg   grid.Region
 	sends []packPair
 	recvs []packPair
 }
 
 // schedKey identifies one compiled schedule. Statement regions with
 // literal bounds may resolve differently per execution (wavefront
-// sweeps), so the resolved region is part of the key.
+// sweeps), so the region — clipped to this processor's neighbourhood
+// (clip) — is part of the key.
 type schedKey struct {
 	t   *comm.Transfer
 	reg grid.Region
@@ -120,30 +120,37 @@ func (p *proc) compileRuns(t *comm.Transfer, st *commSched) {
 	compile(st.recvs)
 }
 
+// resolveSched resolves a transfer op's schedule into its slot. An
+// invariant region resolves once; a loop-variant one resolves its clipped
+// key on every sequence and consults the compiled cache only when the key
+// moved.
+func (p *proc) resolveSched(o *op, sl *slot) {
+	if sl.st != nil && o.reg.inv {
+		return
+	}
+	key := p.clip(p.evalRegion(o.reg))
+	if sl.st == nil || sl.key != key {
+		sl.key, sl.st = key, p.sched(o.call.T, key)
+	}
+}
+
 // sched returns (compiling and caching on first use) the schedule of
-// transfer t over the resolved region reg. Schedules persist across block
+// transfer t over the clipped region key. Schedules persist across block
 // executions: re-running a loop body reuses the compiled run lists
 // instead of re-deriving rectangle geometry every iteration.
-func (p *proc) sched(t *comm.Transfer, reg grid.Region) *commSched {
-	// Fast path: the transfer resolved the same region as last time, so
-	// one pointer-keyed lookup and an inline region compare replace the
-	// struct-keyed cache's hash and equality walk.
-	if st := p.schedHint[t]; st != nil && st.reg == reg {
+func (p *proc) sched(t *comm.Transfer, key grid.Region) *commSched {
+	sk := schedKey{t: t, reg: key}
+	if st, ok := p.scheds[sk]; ok {
 		return st
 	}
-	key := schedKey{t: t, reg: reg}
-	if st, ok := p.scheds[key]; ok {
-		p.schedHint[t] = st
-		return st
-	}
-	st := p.geometry(t, reg)
+	st := p.geometry(t, key)
 	if !p.w.legacyComm {
 		p.compileRuns(t, st)
 	}
+	p.schedsBuilt++
 	if len(p.scheds) >= schedCacheLimit {
 		p.scheds = map[schedKey]*commSched{}
 	}
-	p.scheds[key] = st
-	p.schedHint[t] = st
+	p.scheds[sk] = st
 	return st
 }

@@ -12,8 +12,9 @@ import (
 //
 // A fused run compiles every member statement through ONE kcompiler
 // (compileFused), which arms the memo below. Whenever the generic tree
-// compiler reaches a vector-valued Unary/Binary/Intrinsic node, it keys
-// the subtree structurally; a repeat of a subtree already compiled —
+// compiler reaches a vector-valued Unary/Binary/Intrinsic node, it looks
+// up the subtree's structural key (rendered once, when the run is built:
+// cseIndex); a repeat of a subtree already compiled —
 // within one member's RHS or across members of the run — reuses the
 // first compilation's row instead of re-evaluating. tomcatv's residual
 // recomputes 2.0*X in both RX terms; swm's height update reads U+U@east
@@ -113,20 +114,67 @@ func cseBenefits(stmts []*ir.AssignArray) map[string]bool {
 	return benefit
 }
 
+// cseNode is one subtree of a fused run worth a memo wrapper: the dense
+// ID of its structural key among the run's beneficial keys, and the IDs
+// of the arrays it reads.
+type cseNode struct {
+	id    int
+	reads []int
+}
+
+// cseIndex runs the CSE pre-pass over a run's statements and indexes
+// every subtree whose key it found beneficial, so per-processor compiles
+// look nodes up by pointer instead of rendering key strings. It returns
+// a nil index and zero keys when nothing repeats.
+func cseIndex(stmts []*ir.AssignArray) (map[ir.Expr]cseNode, int) {
+	benefit := cseBenefits(stmts)
+	if len(benefit) == 0 {
+		return nil, 0
+	}
+	ids := map[string]int{}
+	index := map[ir.Expr]cseNode{}
+	var visit func(e ir.Expr)
+	visit = func(e ir.Expr) {
+		if key, reads, ok := exprKey(e); ok && benefit[key] {
+			id, seen := ids[key]
+			if !seen {
+				id = len(ids)
+				ids[key] = id
+			}
+			index[e] = cseNode{id: id, reads: reads}
+		}
+		switch e := e.(type) {
+		case *ir.Unary:
+			visit(e.X)
+		case *ir.Binary:
+			visit(e.X)
+			visit(e.Y)
+		case *ir.Intrinsic:
+			for _, a := range e.Args {
+				visit(a)
+			}
+		}
+	}
+	for _, s := range stmts {
+		visit(s.RHS)
+	}
+	return index, len(ids)
+}
+
 // memoize wraps the compilation of one vector-valued subtree. Outside a
-// fused compile (memo nil) or for unkeyable trees it is the identity.
-// Otherwise a repeated key returns the prior wrapper, and a fresh key
-// compiles once into a dedicated scratch row guarded by the row
-// generation counter.
+// fused compile (cse nil) or for subtrees the pre-pass did not index it
+// is the identity. Otherwise a repeated key returns the prior wrapper,
+// and a fresh key compiles once into a dedicated scratch row guarded by
+// the row generation counter.
 func (kc *kcompiler) memoize(e ir.Expr, build func() vec) vec {
-	if kc.memo == nil {
+	if kc.cse == nil {
 		return build()
 	}
-	key, reads, keyed := exprKey(e)
-	if !keyed || !kc.benefit[key] {
+	n, ok := kc.cse[e]
+	if !ok {
 		return build()
 	}
-	if ent := kc.memo[key]; ent != nil {
+	if ent := kc.memo[n.id]; ent != nil {
 		return ent.v
 	}
 	inner := build()
@@ -144,7 +192,7 @@ func (kc *kcompiler) memoize(e ir.Expr, build func() vec) vec {
 		}
 		return row
 	}
-	kc.memo[key] = &memoEntry{v: wrapped, reads: reads}
+	kc.memo[n.id] = &memoEntry{v: wrapped, reads: n.reads}
 	return wrapped
 }
 
@@ -152,10 +200,13 @@ func (kc *kcompiler) memoize(e ir.Expr, build func() vec) vec {
 // after compiling each fused member with the member's LHS: subtrees over
 // the written array must re-evaluate in later members.
 func (kc *kcompiler) killMemo(arrayID int) {
-	for key, ent := range kc.memo {
+	for id, ent := range kc.memo {
+		if ent == nil {
+			continue
+		}
 		for _, r := range ent.reads {
 			if r == arrayID {
-				delete(kc.memo, key)
+				kc.memo[id] = nil
 				break
 			}
 		}

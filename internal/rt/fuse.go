@@ -60,11 +60,14 @@ type fuseRun struct {
 	stmts      []*ir.AssignArray // Stmts[start:end], re-typed
 	inner      int               // shared row dimension (rank-1)
 
-	// benefit is the run's CSE pre-pass result (cse.go): the structural
-	// keys of subtrees that repeat across members with inputs unchanged.
-	// Computed once when the run is built — it depends only on the
-	// statements — and read concurrently by every processor's compile.
-	benefit map[string]bool
+	// cse is the run's CSE pre-pass result (cse.go): every subtree whose
+	// structural key repeats across members with inputs unchanged, mapped
+	// to that key's dense ID (0..ncse-1) and read set. Computed once when
+	// the run is built — it depends only on the statements — and read
+	// concurrently by every processor's compile, which therefore never
+	// renders a key string.
+	cse  map[ir.Expr]cseNode
+	ncse int
 }
 
 // outerSign classifies a use offset's cross-row component relative to the
@@ -101,11 +104,12 @@ func fusionRuns(bp *comm.BlockPlan, note func(pos int, why string)) []*fuseRun {
 	start := 0
 	flush := func() {
 		if len(cur) >= 2 {
-			runs = append(runs, &fuseRun{
+			fr := &fuseRun{
 				start: start, end: start + len(cur), stmts: cur,
-				inner:   cur[0].Region.Rank() - 1,
-				benefit: cseBenefits(cur),
-			})
+				inner: cur[0].Region.Rank() - 1,
+			}
+			fr.cse, fr.ncse = cseIndex(cur)
+			runs = append(runs, fr)
 		}
 		cur = nil
 	}
@@ -173,20 +177,6 @@ func joinBlocker(cur []*ir.AssignArray, a *ir.AssignArray, calls []comm.Call) st
 	return ""
 }
 
-// buildFusionTable runs the static fusion analysis over every block of
-// the plan. Blocks without a fusable run are absent from the table; the
-// table is built once at setup and read-only afterwards, shared by all
-// processors.
-func buildFusionTable(plan *comm.Plan) map[*comm.BlockPlan][]*fuseRun {
-	out := map[*comm.BlockPlan][]*fuseRun{}
-	for _, bp := range plan.Blocks {
-		if runs := fusionRuns(bp, nil); len(runs) > 0 {
-			out[bp] = runs
-		}
-	}
-	return out
-}
-
 // FusionDecision reports the static fusion outcome of one array statement
 // (ExplainFusion; zplc -explain renders these).
 type FusionDecision struct {
@@ -197,9 +187,9 @@ type FusionDecision struct {
 }
 
 // ExplainFusion runs the static cross-statement fusion analysis on every
-// block of a plan — the same analysis rt.Run performs at setup — and
-// reports, per array statement in plan order, whether it would execute
-// fused and why not otherwise.
+// block of a plan — the same analysis rt.Run folds into its op stream at
+// setup — and reports, per array statement in plan order, whether it
+// would execute fused and why not otherwise.
 func ExplainFusion(plan *comm.Plan) []FusionDecision {
 	var out []FusionDecision
 	runID := 0
@@ -241,8 +231,9 @@ type fusedKernel struct {
 	size    int // local.Size(); 0 for an empty local region
 	inner   int
 	L       int
-	slots   int       // run-wide scratch rows (shared compile, incl. memo rows)
-	members []*kernel // same order as the run's statements; nil when size == 0
+	slots   int         // run-wide scratch rows (shared compile, incl. memo rows)
+	members []*kernel   // same order as the run's statements; nil when size == 0
+	reads   []fieldRead // every member's compile checks (see kernel.reads)
 
 	// Incremental store bases (see run): because every member walks the
 	// same rows in lockstep, each member's flat store index advances by a
@@ -255,62 +246,67 @@ type fusedKernel struct {
 	di    []int
 }
 
-// fusedKey identifies one compiled fused kernel: the run and the resolved
-// statement region it was compiled for (literal-bound regions can change
-// between executions).
+// fusedKey identifies one compiled fused kernel: the run and this
+// processor's non-empty local part of the statement region it was
+// compiled for (literal-bound regions can change between executions).
 type fusedKey struct {
-	run *fuseRun
-	reg grid.Region
+	run   *fuseRun
+	local grid.Region
 }
 
-// fusedHintEntry is the pointer-keyed fast path in front of the
-// struct-keyed fused-kernel cache, mirroring kernelHintEntry.
-type fusedHintEntry struct {
-	reg grid.Region
-	fk  *fusedKernel
-}
+// noHostWork is the fused kernel of a run whose members' local regions
+// are all empty: every member charges StmtOverhead only. Immutable and
+// shared, since fusedExec reads nothing of it but its zero size.
+var noHostWork = &fusedKernel{}
 
-// fusedFor returns the cached fused kernel for a run at its currently
-// resolved region, compiling on first use. nil means "execute the members
-// individually".
-func (p *proc) fusedFor(fr *fuseRun) *fusedKernel {
+// fusedFor resolves a fused op's kernel at the run's current region
+// through the op's slot. nil means "execute the members individually".
+// A new non-empty local region re-targets the slot's fused kernel when it
+// can (retargetFused) and otherwise goes through the compiled cache; an
+// empty one needs no kernel and leaves the slot's in place.
+func (p *proc) fusedFor(o *op) *fusedKernel {
+	sl := &p.slots[o.slot]
+	if sl.ok && o.reg.inv {
+		return sl.fk
+	}
 	// All members share provably compatible regions and no scalar can
 	// change between them (runs contain only array assignments), so one
 	// evaluation of the first member's region serves the whole run.
-	reg := p.evalRegion(fr.stmts[0].Region)
-	if h, ok := p.fkernelHint[fr]; ok && h.reg == reg {
-		return h.fk
+	base := p.w.localRegion(p.evalRegion(o.reg), p.row, p.col)
+	if base.Empty() {
+		fk := noHostWork
+		if _, agree := p.runLocal(o.run, base); !agree {
+			fk = nil
+		}
+		if o.reg.inv {
+			sl.key, sl.ok, sl.fk = base, true, fk
+		}
+		return fk
 	}
-	key := fusedKey{fr, reg}
+	if sl.ok && sl.key == base {
+		return sl.fk
+	}
+	sl.key, sl.ok = base, true
+	if p.retargetFused(sl, o.run, base) {
+		return sl.fk
+	}
+	key := fusedKey{o.run, base}
 	fk, ok := p.fkernels[key]
 	if !ok {
-		fk = p.compileFused(fr, reg)
+		fk = p.compileFused(o.run, base)
 		if len(p.fkernels) >= kernelCacheLimit {
 			p.fkernels = map[fusedKey]*fusedKernel{}
 		}
 		p.fkernels[key] = fk
 	}
-	p.fkernelHint[fr] = fusedHintEntry{reg: reg, fk: fk}
+	sl.fk, sl.own = fk, false
 	return fk
 }
 
-// compileFused builds the fused kernel for one run over one resolved
-// region, or returns nil when the members must execute individually:
-// kernels are disabled, their computed local regions disagree (differing
-// allocation clips), or any member fails kernel compilation.
-//
-// All members compile through ONE kcompiler with the CSE memo armed
-// (cse.go): scratch slots are allocated out of a single run-wide space,
-// and a subtree repeated across members reuses the first member's row
-// instead of re-evaluating. The per-statement kernel cache is untouched —
-// fused members are compiled fresh so their closures can share the
-// run-wide memo rows.
-func (p *proc) compileFused(fr *fuseRun, reg grid.Region) *fusedKernel {
-	if p.w.interp {
-		return nil
-	}
-	w := p.w
-	base := w.localRegion(reg, p.row, p.col)
+// runLocal returns the local region every member of the run would
+// execute over given base — its local part of the run's region clipped to
+// each member's allocation — and whether all members agree on it.
+func (p *proc) runLocal(fr *fuseRun, base grid.Region) (grid.Region, bool) {
 	memberLocal := func(s *ir.AssignArray) grid.Region {
 		l := base
 		if f := p.fields[s.LHS.ID]; f.Allocated() {
@@ -321,17 +317,66 @@ func (p *proc) compileFused(fr *fuseRun, reg grid.Region) *fusedKernel {
 	local := memberLocal(fr.stmts[0])
 	for _, s := range fr.stmts[1:] {
 		if memberLocal(s) != local {
-			return nil
+			return local, false
 		}
 	}
-	fk := &fusedKernel{local: local, inner: fr.inner}
-	if local.Empty() {
-		return fk // members all charge StmtOverhead only; no host work
+	return local, true
+}
+
+// retargetFused is slot.retargetKernel for a fused op: it points the
+// slot's fused kernel at a new non-empty base and reports whether it
+// could — the members must agree on their local region there, and it
+// must pass the checks the kernel was compiled under. The result is
+// exactly what compileFused would build for base.
+func (p *proc) retargetFused(sl *slot, fr *fuseRun, base grid.Region) bool {
+	fk := sl.fk
+	if fk == nil || fk.size == 0 {
+		return false
 	}
+	local, agree := p.runLocal(fr, base)
+	if !agree || local.Empty() || !fits(fk.reads, local, fk.inner, fk.L) {
+		return false
+	}
+	if !sl.own {
+		c := *fk
+		c.bases, c.dj, c.di = nil, nil, nil // the copy's own bookkeeping
+		fk, sl.fk, sl.own = &c, &c, true
+	}
+	fk.local, fk.size = local, local.Size()
+	fk.withBases()
+	return true
+}
+
+// compileFused builds the fused kernel for one run over base, this
+// processor's non-empty local part of the run's region (the only way the
+// region reaches the compile), noHostWork when the members' allocation
+// clips leave nothing to compute, or nil when the members must
+// execute individually: kernels are disabled, their computed local
+// regions disagree (differing allocation clips), or any member fails
+// kernel compilation.
+//
+// All members compile through ONE kcompiler with the CSE memo armed
+// (cse.go): scratch slots are allocated out of a single run-wide space,
+// and a subtree repeated across members reuses the first member's row
+// instead of re-evaluating. The per-statement kernel cache is untouched —
+// fused members are compiled fresh so their closures can share the
+// run-wide memo rows.
+func (p *proc) compileFused(fr *fuseRun, base grid.Region) *fusedKernel {
+	if p.w.interp {
+		return nil
+	}
+	local, agree := p.runLocal(fr, base)
+	if !agree {
+		return nil
+	}
+	if local.Empty() {
+		return noHostWork // every allocation clip empties the region
+	}
+	fk := &fusedKernel{local: local, inner: fr.inner}
 	fk.size = local.Size()
 	fk.L = local.Spans[fr.inner].Len()
 	fk.members = make([]*kernel, 0, len(fr.stmts))
-	if len(fr.benefit) == 0 {
+	if fr.ncse == 0 {
 		// No subtree repeats across the run: member kernels are identical
 		// to the per-statement compiles, so share that cache outright and
 		// let the members reuse one max-sized scratch space in turn.
@@ -344,16 +389,18 @@ func (p *proc) compileFused(fr *fuseRun, reg grid.Region) *fusedKernel {
 				fk.slots = k.slots
 			}
 			fk.members = append(fk.members, k)
+			fk.reads = append(fk.reads, k.reads...)
 		}
 		return fk.withBases()
 	}
 	kc := &kcompiler{p: p, local: local, inner: fr.inner, L: fk.L, ok: true,
-		memo: map[string]*memoEntry{}, benefit: fr.benefit}
+		memo: make([]*memoEntry, fr.ncse), cse: fr.cse}
 	for _, s := range fr.stmts {
 		f := p.fields[s.LHS.ID]
 		if !f.Allocated() || f.Stride(fr.inner) != 1 || !f.Contains(local) {
 			return nil
 		}
+		kc.reads = append(kc.reads, fieldRead{f: f})
 		k := &kernel{
 			lhs:   f,
 			ldata: f.Data(),
@@ -373,6 +420,7 @@ func (p *proc) compileFused(fr *fuseRun, reg grid.Region) *fusedKernel {
 		fk.members = append(fk.members, k)
 	}
 	fk.slots = kc.slots
+	fk.reads = kc.reads
 	return fk.withBases()
 }
 
@@ -381,16 +429,15 @@ func (p *proc) compileFused(fr *fuseRun, reg grid.Region) *fusedKernel {
 // and by di after every outer-loop block, so the sweep never recomputes
 // IndexOf past the first row. rows1 mirrors the middle loop's trip count
 // in run (one when rows advance along dimension 0 or the region is a
-// single row).
+// single row). A re-targeted kernel recomputes them in its own slices.
 func (fk *fusedKernel) withBases() *fusedKernel {
 	rows1 := 1
 	if fk.inner == 2 {
 		rows1 = fk.local.Spans[1].Len()
 	}
-	n := len(fk.members)
-	fk.bases = make([]int, n)
-	fk.dj = make([]int, n)
-	fk.di = make([]int, n)
+	if n := len(fk.members); len(fk.bases) != n {
+		fk.bases, fk.dj, fk.di = make([]int, n), make([]int, n), make([]int, n)
+	}
 	for mi, k := range fk.members {
 		fk.dj[mi] = k.lhs.Stride(1)
 		fk.di[mi] = k.lhs.Stride(0) - rows1*k.lhs.Stride(1)

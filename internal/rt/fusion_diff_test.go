@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -58,7 +59,21 @@ func mustMatch(t *testing.T, label string, got, want *Result) {
 		}
 	}
 	if g, w := got.DumpArrays(), want.DumpArrays(); g != w {
-		t.Errorf("%s: final array contents differ from oracle", label)
+		t.Errorf("%s: arrays %q, oracle %q", label, g, w)
+		return
+	}
+	for name, a := range got.arrays {
+		b := want.arrays[name]
+		if a.Reg != b.Reg {
+			t.Errorf("%s: array %s spans %v, oracle %v", label, name, a.Reg, b.Reg)
+			continue
+		}
+		for i := range a.data {
+			if math.Float64bits(a.data[i]) != math.Float64bits(b.data[i]) {
+				t.Errorf("%s: array %s element %d = %v, oracle %v", label, name, i, a.data[i], b.data[i])
+				break
+			}
+		}
 	}
 }
 

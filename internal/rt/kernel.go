@@ -97,6 +97,54 @@ type kernel struct {
 	mode  storeMode
 	row   vec
 	shape string // fill, copy, bin, axpy, gen — for benchmarks/inspection
+
+	// reads lists the containment checks the compile passed (the LHS and
+	// every array reference). The compiled closures depend on the region
+	// only through L and inner, so the kernel is valid for any other
+	// local region with the same row length that passes the same checks
+	// (slot.retargetKernel).
+	reads []fieldRead
+}
+
+// fieldRead is one containment check of a kernel compile: the local
+// region shifted by off must lie inside f's allocation (halo included).
+type fieldRead struct {
+	f   *field.Field
+	off grid.Offset
+}
+
+// fits reports whether local, with row length L along inner, passes a
+// compile's checks, so a kernel compiled elsewhere is exact for it.
+func fits(reads []fieldRead, local grid.Region, inner, L int) bool {
+	if local.Spans[inner].Len() != L {
+		return false
+	}
+	for _, r := range reads {
+		if !r.f.Contains(local.Shift(r.off)) {
+			return false
+		}
+	}
+	return true
+}
+
+// retargetKernel points the slot's kernel at a new local region without
+// compiling, and reports whether it could: local must pass the checks
+// the kernel was compiled under. The result is exactly what compiling
+// the statement over local would build — the closures are shared, only
+// the region and its row count change. The first re-target copies a
+// cached kernel into the slot; later ones update that copy in place, so
+// a sweep neither compiles nor allocates per row.
+func (sl *slot) retargetKernel(local grid.Region) bool {
+	k := sl.k
+	if k == nil || !fits(k.reads, local, k.inner, k.L) {
+		return false
+	}
+	if !sl.own {
+		c := *k
+		k, sl.k, sl.own = &c, &c, true
+	}
+	k.local, k.rows = local, local.Size()/k.L
+	return true
 }
 
 // reduceKernel computes one reduction's local partial as a fused
@@ -108,6 +156,21 @@ type reduceKernel struct {
 	L     int
 	slots int
 	row   vec
+	reads []fieldRead // as kernel.reads
+}
+
+// retargetReduce is retargetKernel for a reduction partial's slot.
+func (sl *slot) retargetReduce(local grid.Region) bool {
+	k := sl.rk
+	if k == nil || !fits(k.reads, local, k.inner, k.L) {
+		return false
+	}
+	if !sl.own {
+		c := *k
+		k, sl.rk, sl.own = &c, &c, true
+	}
+	k.local = local
+	return true
 }
 
 // forRows visits the first element of every row of reg in row-major
@@ -130,34 +193,14 @@ func forRows(reg grid.Region, inner int, fn func(i, j, k int)) {
 	}
 }
 
-// kernelHintEntry backs the pointer-keyed fast path in front of the
-// struct-keyed kernel cache: the kernel (possibly the memoized nil) a
-// statement most recently resolved, plus the region it was compiled
-// for. Statements resolve the same local region on every execution
-// except wavefront sweeps, so one fast-key lookup and an inline region
-// compare replace the struct key's hash and equality walk on the
-// per-statement-execution hot path. reduceHintEntry is the same for
-// reduction partials.
-type kernelHintEntry struct {
-	local grid.Region
-	k     *kernel
-}
-
-type reduceHintEntry struct {
-	local grid.Region
-	k     *reduceKernel
-}
-
 // kernelFor returns the cached kernel for (s, local), compiling on first
 // use. nil means "use the interpreter": either kernels are disabled for
 // the run or the statement failed compile-time validation (the nil is
-// memoized so validation cost is paid once).
+// memoized so validation cost is paid once). Callers resolve through an
+// op slot first, so only a changed local region reaches this cache.
 func (p *proc) kernelFor(s *ir.AssignArray, local grid.Region) *kernel {
 	if p.w.interp {
 		return nil
-	}
-	if h, ok := p.kernelHint[s]; ok && h.local == local {
-		return h.k
 	}
 	key := kernelKey{s, local}
 	k, ok := p.kernels[key]
@@ -168,35 +211,43 @@ func (p *proc) kernelFor(s *ir.AssignArray, local grid.Region) *kernel {
 		}
 		p.kernels[key] = k
 	}
-	p.kernelHint[s] = kernelHintEntry{local: local, k: k}
 	return k
 }
 
-// reduceKernel is kernelFor for reduction partials. Empty local regions
-// stay on the interpreter path (whose ForEach visits nothing).
-func (p *proc) reduceKernel(e *ir.Reduce, local grid.Region) *reduceKernel {
+// reduceKernel is kernelFor for the reduction partial e of a reducing
+// scalar assignment o, resolved through the reduction's own slot. Empty
+// local regions stay on the interpreter path (whose ForEach visits
+// nothing).
+func (p *proc) reduceKernel(o *op, e *ir.Reduce, local grid.Region) *reduceKernel {
 	if p.w.interp || local.Empty() {
 		return nil
 	}
-	if h, ok := p.rkernelHint[e]; ok && h.local == local {
-		return h.k
+	id := o.slot
+	for o.reduces[id-o.slot] != e {
+		id++
+	}
+	sl := &p.slots[id]
+	if sl.ok && sl.key == local {
+		return sl.rk
+	}
+	sl.key, sl.ok = local, true
+	if sl.retargetReduce(local) {
+		return sl.rk
 	}
 	key := reduceKey{e, local}
-	if k, ok := p.rkernels[key]; ok {
-		p.rkernelHint[e] = reduceHintEntry{local: local, k: k}
-		return k
+	k, ok := p.rkernels[key]
+	if !ok {
+		kc := &kcompiler{p: p, local: local, inner: local.Rank - 1, L: local.Spans[local.Rank-1].Len(), ok: true}
+		row := kc.node(e.X)
+		if kc.ok {
+			k = &reduceKernel{op: e.Op, local: local, inner: kc.inner, L: kc.L, slots: kc.slots, row: row, reads: kc.reads}
+		}
+		if len(p.rkernels) >= kernelCacheLimit {
+			p.rkernels = map[reduceKey]*reduceKernel{}
+		}
+		p.rkernels[key] = k
 	}
-	var k *reduceKernel
-	kc := &kcompiler{p: p, local: local, inner: local.Rank - 1, L: local.Spans[local.Rank-1].Len(), ok: true}
-	row := kc.node(e.X)
-	if kc.ok {
-		k = &reduceKernel{op: e.Op, local: local, inner: kc.inner, L: kc.L, slots: kc.slots, row: row}
-	}
-	if len(p.rkernels) >= kernelCacheLimit {
-		p.rkernels = map[reduceKey]*reduceKernel{}
-	}
-	p.rkernels[key] = k
-	p.rkernelHint[e] = reduceHintEntry{local: local, k: k}
+	sl.rk, sl.own = k, false
 	return k
 }
 
@@ -226,6 +277,7 @@ func (p *proc) compileKernel(s *ir.AssignArray, local grid.Region) *kernel {
 		return nil
 	}
 	k.slots = kc.slots
+	k.reads = append(kc.reads, fieldRead{f: f})
 	return k
 }
 
@@ -349,12 +401,13 @@ type kcompiler struct {
 	L     int
 	slots int
 	ok    bool
+	reads []fieldRead // containment checks passed so far (viewOf)
 
-	// Fused-run CSE state (cse.go): memo holds the wrappers for repeated
-	// subtrees, benefit the pre-pass's set of keys worth wrapping. Both
-	// nil outside compileFused.
-	memo    map[string]*memoEntry
-	benefit map[string]bool
+	// Fused-run CSE state (cse.go): cse is the run's index of subtrees
+	// worth wrapping, memo the wrappers built so far by key ID. Both nil
+	// outside compileFused.
+	memo []*memoEntry
+	cse  map[ir.Expr]cseNode
 }
 
 // slot reserves a fresh scratch row and returns its index.
@@ -396,6 +449,7 @@ func (kc *kcompiler) viewOf(e *ir.ArrayRef) vec {
 		kc.ok = false
 		return nil
 	}
+	kc.reads = append(kc.reads, fieldRead{f: f, off: e.Off})
 	data := f.Data()
 	o0, o1, o2 := e.Off[0], e.Off[1], e.Off[2]
 	L := kc.L

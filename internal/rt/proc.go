@@ -67,16 +67,24 @@ type proc struct {
 	// per-execution temporaries, and the reusable row-evaluation context.
 	kernels     map[kernelKey]*kernel
 	rkernels    map[reduceKey]*reduceKernel
-	kernelHint  map[*ir.AssignArray]kernelHintEntry
-	rkernelHint map[*ir.Reduce]reduceHintEntry
 	arena       arena
 	nodeScratch bump // permanent per-node buffers of compiled closures
 	kctx        kctx
 
 	// Cross-statement fusion (fuse.go): compiled fused runs, keyed like
-	// the statement-kernel cache, with a run-pointer hint in front.
-	fkernels    map[fusedKey]*fusedKernel
-	fkernelHint map[*fuseRun]fusedHintEntry
+	// the statement-kernel cache.
+	fkernels map[fusedKey]*fusedKernel
+
+	// Op-stream resolution (ops.go): slots[id] holds what op slot id
+	// resolved to on this processor, regs the latest evaluation of each
+	// loop-variant region, and window the 3×3 block neighbourhood that
+	// canonicalises comm-schedule keys (clip). gen advances on every
+	// scalar write, invalidating every regs entry at once; it starts at 1
+	// so a zero entry is never valid.
+	slots  []slot
+	regs   []regCache
+	gen    uint64
+	window [2]grid.Span
 
 	// Host-side comm/compute overlap (commexec.go): sends whose pack and
 	// delivery run on a spawned goroutine while this processor keeps
@@ -100,16 +108,11 @@ type proc struct {
 
 	output strings.Builder
 
-	// Open transfers (DR seen, SV pending). Block boundaries assert every
-	// sequence closed, so the open set only ever holds transfers of one
-	// block execution — and finalizeBlock numbers a block's transfers
-	// 0..N-1, so a slice indexed by t.ID replaces a map on the four-calls-
-	// per-sequence hot path. schedHint short-circuits the struct-keyed
-	// schedule cache for the common case of a transfer resolving the same
-	// region as last time (everything but wavefront sweeps).
-	open      []*commSched
-	openCount int
-	schedHint map[*comm.Transfer]*commSched
+	// openCount counts open transfers (DR seen, SV pending); block
+	// boundaries assert every sequence closed. schedsBuilt counts the
+	// schedules this processor compiled (cache misses).
+	openCount   int
+	schedsBuilt int
 
 	rng uint64 // deterministic per-processor jitter stream
 
@@ -191,17 +194,20 @@ func newProc(w *world, rank int) *proc {
 	// a visible slice of setup time.
 	p := &proc{
 		w: w, rank: rank, row: r, col: c,
-		fnCache:     make(map[ir.Expr]evalFn, 32),
-		neighbors:   neighborRanks(w.mesh, rank),
-		kernels:     make(map[kernelKey]*kernel, 16),
-		rkernels:    make(map[reduceKey]*reduceKernel, 8),
-		kernelHint:  make(map[*ir.AssignArray]kernelHintEntry, 16),
-		rkernelHint: make(map[*ir.Reduce]reduceHintEntry, 8),
-		fkernels:    make(map[fusedKey]*fusedKernel, 8),
-		fkernelHint: make(map[*fuseRun]fusedHintEntry, 8),
-		scheds:      make(map[schedKey]*commSched, 16),
-		schedHint:   make(map[*comm.Transfer]*commSched, 16),
-		rng:         uint64(rank)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
+		fnCache:   make(map[ir.Expr]evalFn, 32),
+		neighbors: neighborRanks(w.mesh, rank),
+		kernels:   make(map[kernelKey]*kernel, 16),
+		rkernels:  make(map[reduceKey]*reduceKernel, 8),
+		fkernels:  make(map[fusedKey]*fusedKernel, 8),
+		scheds:    make(map[schedKey]*commSched, 16),
+		slots:     make([]slot, w.nslots),
+		regs:      make([]regCache, w.nregs),
+		gen:       1,
+		window: [2]grid.Span{
+			blockWindow(w.master[0], w.mesh.Rows, r),
+			blockWindow(w.master[1], w.mesh.Cols, c),
+		},
+		rng: uint64(rank)*0x9e3779b97f4a7c15 + 0x2545f4914f6cdd1d,
 	}
 	n := len(p.neighbors)
 	p.backSlots = make([]int, n)
@@ -275,29 +281,11 @@ func (p *proc) waitUntil(t vtime.Time) {
 	}
 }
 
-// segments returns one statement list's segmentation from the world's
-// precomputed table (setup walks every reachable body once). The key is
-// the address of the list's first element, which identifies the body
-// (every statement belongs to exactly one). Sharing the table across
-// processors replaces what used to be a per-proc cache — the split of an
-// immutable IR body never changes, so N procs were holding N identical
-// copies.
-func (p *proc) segments(stmts []ir.Stmt) []comm.Segment {
-	if len(stmts) == 0 {
-		return nil
-	}
-	s, ok := p.w.segs[&stmts[0]]
-	if !ok {
-		panic("rt: statement list missing from segmentation table")
-	}
-	return s
-}
-
 // run executes the program body and folds this processor's statistics
 // into the world. It is the per-processor entry point of both execution
 // modes; on panic the fold is skipped (the run is aborting anyway).
 func (p *proc) run() {
-	p.body(p.w.prog.Main.Body)
+	p.exec(p.w.main)
 	p.finish()
 }
 
@@ -311,6 +299,7 @@ type procStat struct {
 	bytesSent    int64
 	dynTransfers int
 	reductions   int
+	schedsBuilt  int
 }
 
 // finish records this processor's statistics and releases its compiled
@@ -331,62 +320,65 @@ func (p *proc) finish() {
 		bytesSent:    p.bytesSent,
 		dynTransfers: p.dynTransfers,
 		reductions:   p.reductions,
+		schedsBuilt:  p.schedsBuilt,
 	}
 	w.statsMu.Lock()
 	w.stats = append(w.stats, st)
 	w.statsMu.Unlock()
 	p.kernels, p.rkernels, p.scheds, p.fnCache = nil, nil, nil, nil
-	p.kernelHint, p.rkernelHint = nil, nil
-	p.fkernels, p.fkernelHint = nil, nil
-	p.sendPool, p.retPool, p.pending = nil, nil, nil
-	p.collStash, p.open, p.schedHint = nil, nil, nil
+	p.fkernels, p.slots, p.regs = nil, nil, nil
+	p.sendPool, p.retPool, p.pending, p.collStash = nil, nil, nil, nil
 	p.arena = arena{}
 }
 
-// body interprets a structured statement list, alternating between
-// planned basic blocks and control statements.
-func (p *proc) body(stmts []ir.Stmt) {
-	for _, seg := range p.segments(stmts) {
-		if seg.Block != nil {
-			p.block(seg.Block)
+// exec runs a lowered body, alternating between basic blocks and
+// control statements.
+func (p *proc) exec(body []seg) {
+	for i := range body {
+		sg := &body[i]
+		if sg.ctl == nil {
+			p.block(sg.ops)
 			continue
 		}
-		p.control(seg.Control)
+		p.control(sg)
 	}
 }
 
 // loopOverhead is the control cost charged per loop iteration or branch.
 const loopOverhead = 200 * vtime.Nanosecond
 
-func (p *proc) control(s ir.Stmt) {
-	switch s := s.(type) {
+// control runs one control statement. A loop first performs its hoisted
+// transfers (the cross-block extension): sg.ops holds each one's full
+// synchronous IRONMAN sequence, run once before the loop is entered.
+func (p *proc) control(sg *seg) {
+	switch s := sg.ctl.(type) {
 	case *ir.If:
 		p.charge(loopOverhead)
 		if p.evalScalar(s.Cond) != 0 {
-			p.body(s.Then)
+			p.exec(sg.body)
 		} else {
-			p.body(s.Else)
+			p.exec(sg.els)
 		}
 	case *ir.Repeat:
-		p.execPreheader(s)
+		p.block(sg.ops)
 		for {
 			p.charge(loopOverhead)
-			p.body(s.Body)
+			p.exec(sg.body)
 			if p.evalScalar(s.Until) != 0 {
 				return
 			}
 		}
 	case *ir.While:
-		p.execPreheader(s)
+		p.block(sg.ops)
 		for {
 			p.charge(loopOverhead)
 			if p.evalScalar(s.Cond) == 0 {
 				return
 			}
-			p.body(s.Body)
+			p.exec(sg.body)
 		}
 	case *ir.For:
-		p.execPreheader(s)
+		p.block(sg.ops)
 		lo := p.evalInt(s.Lo, "for bound")
 		hi := p.evalInt(s.Hi, "for bound")
 		step := 1
@@ -396,80 +388,58 @@ func (p *proc) control(s ir.Stmt) {
 		for v := lo; (step > 0 && v <= hi) || (step < 0 && v >= hi); v += step {
 			p.charge(loopOverhead)
 			p.scalars[s.Var.ID] = float64(v)
-			p.body(s.Body)
+			p.gen++
+			p.exec(sg.body)
 		}
 	case *ir.Call:
 		p.charge(loopOverhead)
 		for i, a := range s.Args {
 			p.scalars[s.Proc.Params[i].ID] = p.evalScalar(a)
 		}
-		p.body(s.Proc.Body)
+		p.gen++
+		p.exec(sg.body)
 	default:
 		panic(fmt.Sprintf("rt: unexpected control stmt %T", s))
 	}
 }
 
-// execPreheader performs the loop's hoisted transfers (the cross-block
-// extension): each runs its full synchronous IRONMAN sequence once,
-// immediately before the loop is entered.
-func (p *proc) execPreheader(loop ir.Stmt) {
-	for _, t := range p.w.plan.Preheader(loop) {
-		for _, kind := range []comm.CallKind{comm.DR, comm.SR, comm.DN, comm.SV} {
-			p.execCall(comm.Call{Kind: kind, T: t})
-		}
-	}
-}
-
-// block interprets one planned basic block: IRONMAN calls interleave with
-// the statements at their scheduled positions.
-func (p *proc) block(stmts []ir.Stmt) {
-	bp := p.w.plan.BlockFor(stmts[0])
-	if bp == nil {
-		panic("rt: basic block missing from plan")
-	}
-	runs := p.w.fuse[bp]
-	ri := 0
-	for pos := 0; pos <= len(stmts); pos++ {
-		for _, c := range bp.Calls[pos] {
-			p.execCall(c)
-		}
-		if pos >= len(stmts) {
-			break
-		}
-		for ri < len(runs) && runs[ri].end <= pos {
-			ri++
-		}
-		if ri < len(runs) && runs[ri].start == pos {
-			// A statically fusable run starts here. If it compiles at the
-			// current region, execute all members as one sweep and skip to
-			// the run's end; pos++ lands on Calls[end], which the static
-			// legality check guarantees is the run's first call boundary.
-			if fk := p.fusedFor(runs[ri]); fk != nil {
-				p.fusedExec(runs[ri], fk)
-				pos = runs[ri].end - 1
-				ri++
-				continue
+// block runs one lowered basic block. A fused op is followed by its
+// members' statement ops: when the run compiles at the current region it
+// executes them all as one sweep and skips them, otherwise they execute
+// one by one.
+func (p *proc) block(ops []op) {
+	for i := 0; i < len(ops); i++ {
+		o := &ops[i]
+		switch o.kind {
+		case opCall:
+			p.execCall(o)
+		case opFused:
+			if fk := p.fusedFor(o); fk != nil {
+				p.fusedExec(o.run, fk)
+				i += len(o.run.stmts)
 			}
+		default:
+			p.stmt(o)
 		}
-		p.stmt(stmts[pos])
 	}
 	if p.openCount != 0 {
 		panic("rt: transfers left open at block end")
 	}
 }
 
-func (p *proc) stmt(s ir.Stmt) {
+func (p *proc) stmt(o *op) {
 	if p.tr == nil && p.met == nil && p.cpl == nil {
-		p.stmtExec(s)
+		p.stmtExec(o)
 		return
 	}
+	s := o.stmt
 	var prevLabel, prevSite string
 	if p.cpl != nil {
 		prevLabel, prevSite = p.cpl.Context(p.stmtLabel(s), "")
 	}
 	start := p.clock
 	p.engine = trace.EngineScalar
-	p.stmtExec(s)
+	p.stmtExec(o)
 	if p.cpl != nil {
 		p.cpl.Context(prevLabel, prevSite)
 	}
@@ -483,12 +453,12 @@ func (p *proc) stmt(s ir.Stmt) {
 	}
 }
 
-func (p *proc) stmtExec(s ir.Stmt) {
-	switch s := s.(type) {
+func (p *proc) stmtExec(o *op) {
+	switch s := o.stmt.(type) {
 	case *ir.AssignArray:
-		p.assignArray(s)
+		p.assignArray(o, s)
 	case *ir.AssignScalar:
-		p.assignScalar(s)
+		p.assignScalar(o, s)
 	case *ir.Write:
 		p.write(s)
 	default:
@@ -536,23 +506,37 @@ func (p *proc) waitEdge(t vtime.Time, what string, reason critpath.Reason, from 
 	}
 }
 
-func (p *proc) assignArray(s *ir.AssignArray) {
+// assignArray executes an array assignment over the local region its slot
+// resolved: an invariant region resolves once, a loop-variant one
+// whenever its local region changes. A new non-empty local region
+// re-targets the slot's kernel when it can (slot.retargetKernel), so a
+// sweep compiles each statement once, not once per row; an empty one
+// leaves that kernel in place for the next.
+func (p *proc) assignArray(o *op, s *ir.AssignArray) {
 	w := p.w
 	if p.inflightN > 0 && p.inflight[s.LHS.ID] > 0 {
 		p.joinArray(s.LHS.ID)
 	}
 	f := p.fields[s.LHS.ID]
-	reg := p.evalRegion(s.Region)
-	local := w.localRegion(reg, p.row, p.col)
-	if f.Allocated() {
-		local = local.Intersect(f.Local)
+	sl := &p.slots[o.slot]
+	if !sl.ok || !o.reg.inv {
+		local := w.localRegion(p.evalRegion(o.reg), p.row, p.col)
+		if f.Allocated() {
+			local = local.Intersect(f.Local)
+		}
+		if !sl.ok || sl.key != local {
+			sl.key, sl.ok = local, true
+			if !local.Empty() && !sl.retargetKernel(local) {
+				sl.k, sl.own = p.kernelFor(s, local), false
+			}
+		}
 	}
 	size := 0
-	if !local.Empty() {
+	if local := sl.key; !local.Empty() {
 		size = local.Size()
-		if k := p.kernelFor(s, local); k != nil {
+		if sl.k != nil {
 			p.engine = trace.EngineKernel
-			k.run(p)
+			sl.k.run(p)
 		} else {
 			p.engine = trace.EngineInterp
 			p.assignArrayInterp(s, f, local, size)
@@ -576,27 +560,28 @@ func (p *proc) assignArrayInterp(s *ir.AssignArray, f *field.Field, local grid.R
 	p.arena.release(m)
 }
 
-func (p *proc) assignScalar(s *ir.AssignScalar) {
+func (p *proc) assignScalar(o *op, s *ir.AssignScalar) {
 	if !s.HasReduce {
 		p.scalars[s.LHS.ID] = p.evalScalar(s.RHS)
+		p.gen++
 		p.charge(vtime.Duration(s.Flops) * p.w.mach.OpTime)
 		return
 	}
-	reg := p.evalRegion(s.Region)
-	local := p.w.localRegion(reg, p.row, p.col)
+	local := p.w.localRegion(p.evalRegion(o.reg), p.row, p.col)
 	size := local.Size()
-	p.scalars[s.LHS.ID] = p.evalWithReduce(s.RHS, local)
+	p.scalars[s.LHS.ID] = p.evalWithReduce(o, s.RHS, local)
+	p.gen++
 	p.charge(p.w.mach.StmtOverhead + p.jittered(vtime.Duration(int64(size)*int64(s.Flops))*p.w.mach.OpTime))
 }
 
 // evalWithReduce evaluates a scalar RHS that may contain reductions; each
 // reduction computes a local partial over this processor's part of the
 // statement region and then performs a global combine.
-func (p *proc) evalWithReduce(e ir.Expr, local grid.Region) float64 {
+func (p *proc) evalWithReduce(o *op, e ir.Expr, local grid.Region) float64 {
 	switch e := e.(type) {
 	case *ir.Reduce:
 		var acc float64
-		if k := p.reduceKernel(e, local); k != nil {
+		if k := p.reduceKernel(o, e, local); k != nil {
 			acc = k.run(p)
 		} else {
 			fn := p.compile(e.X)
@@ -605,10 +590,10 @@ func (p *proc) evalWithReduce(e ir.Expr, local grid.Region) float64 {
 		}
 		return p.allreduce(e, acc)
 	case *ir.Unary:
-		return evalUnary(e.Op, p.evalWithReduce(e.X, local))
+		return evalUnary(e.Op, p.evalWithReduce(o, e.X, local))
 	case *ir.Binary:
-		x := p.evalWithReduce(e.X, local)
-		y := p.evalWithReduce(e.Y, local)
+		x := p.evalWithReduce(o, e.X, local)
+		y := p.evalWithReduce(o, e.Y, local)
 		return evalBinary(e.Op, x, y)
 	case *ir.Intrinsic:
 		// Argument values stage in the proc's arena (stack discipline
@@ -616,7 +601,7 @@ func (p *proc) evalWithReduce(e ir.Expr, local grid.Region) float64 {
 		mk := p.arena.mark()
 		args := p.arena.alloc(len(e.Args))
 		for i, a := range e.Args {
-			args[i] = p.evalWithReduce(a, local)
+			args[i] = p.evalWithReduce(o, a, local)
 		}
 		v := evalIntrinsic(e.Fn, args)
 		p.arena.release(mk)
@@ -690,20 +675,4 @@ func (p *proc) evalInt(e ir.Expr, what string) int {
 		panic(fmt.Sprintf("rt: %s is not an integer: %g", what, v))
 	}
 	return int(v)
-}
-
-// evalRegion resolves a statement's region reference to global index
-// spans.
-func (p *proc) evalRegion(re ir.RegionExpr) grid.Region {
-	if re.Sym != nil {
-		return p.w.regionVals[re.Sym.ID]
-	}
-	spans := make([]grid.Span, re.RankN)
-	for d := 0; d < re.RankN; d++ {
-		spans[d] = grid.Span{
-			Lo: p.evalInt(re.Bounds[d][0], "region bound"),
-			Hi: p.evalInt(re.Bounds[d][1], "region bound"),
-		}
-	}
-	return grid.NewRegion(re.RankN, spans...)
 }

@@ -1,9 +1,11 @@
 // Package rt executes a lowered ZPL program SPMD-style on a simulated
-// parallel machine: one goroutine per virtual processor, block distributed
-// arrays with ghost regions, real data exchanged over channels, and a
-// deterministic virtual clock per processor driven by the machine's cost
-// model. Communication follows the IRONMAN call schedule computed by the
-// optimizer (package comm).
+// parallel machine: virtual processors stepped by an M:N scheduler (a
+// small worker pool over per-processor coroutines), block distributed
+// arrays with ghost regions, real data exchanged through per-processor
+// mailboxes, and a deterministic virtual clock per processor driven by
+// the machine's cost model. Communication follows the IRONMAN call
+// schedule computed by the optimizer (package comm), lowered once per run
+// into a shared op stream (ops.go).
 //
 // Data movement is real — the parallel result of a program is validated
 // against its single-processor run — while time is simulated, so measured
@@ -258,11 +260,6 @@ type world struct {
 	overlap    bool // async pack+delivery of large sends (scheduler + pooled comm only)
 	chanCap    int  // per-pair channel capacity, derived from the plan
 
-	// fuse maps each planned block to its statically fusable statement
-	// runs (fuse.go). Built once at setup, read-only afterwards; nil under
-	// ForceInterpreter and ForceNoFusion.
-	fuse map[*comm.BlockPlan][]*fuseRun
-
 	// asyncWG tracks in-flight overlap goroutines so runSched can drain
 	// them before folding statistics and gathering arrays.
 	asyncWG sync.WaitGroup
@@ -271,11 +268,18 @@ type world struct {
 	regionVals []grid.Region // by RegionSym.ID, evaluated declared regions
 	master     [2]grid.Span  // anchor spans for the block distribution
 
-	// segs is the precomputed segmentation of every statement list
-	// reachable from the program, keyed by the address of the list's
-	// first element. Built once at setup and read-only afterwards, so all
-	// processors share it without locks.
-	segs map[*ir.Stmt][]comm.Segment
+	// main is the lowered program (ops.go): every reachable body's
+	// segments and every block's op stream, with the static fusion
+	// analysis folded in unless ForceInterpreter or ForceNoFusion is set.
+	// Built once at setup and read-only afterwards, so all processors
+	// share it without locks; nslots and nregs size each processor's slot
+	// array and loop-variant region cache.
+	main   []seg
+	nslots int
+	nregs  int
+
+	// schedsBuilt totals the comm schedules every processor compiled.
+	schedsBuilt int
 
 	procs      []*proc
 	sched      *scheduler  // M:N scheduler state; nil in goroutine-oracle mode
@@ -360,6 +364,15 @@ func PairChanCap(plan *comm.Plan) int { return pairChanCap(plan) }
 
 // Run executes the program under the given plan and configuration.
 func Run(prog *ir.Program, plan *comm.Plan, cfg Config) (*Result, error) {
+	w, err := newWorld(prog, plan, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return w.run(cfg)
+}
+
+// newWorld validates a configuration and sets a world up, ready to run.
+func newWorld(prog *ir.Program, plan *comm.Plan, cfg Config) (*world, error) {
 	if plan.Program != prog {
 		return nil, fmt.Errorf("rt: plan was built for a different program")
 	}
@@ -390,13 +403,14 @@ func Run(prog *ir.Program, plan *comm.Plan, cfg Config) (*Result, error) {
 	// the M:N scheduler (deliverData + mailbox wakeups are its delivery
 	// path); the oracles run fully synchronously.
 	w.overlap = w.mn && !w.legacyComm && !cfg.NoOverlap
-	if !cfg.ForceInterpreter && !cfg.ForceNoFusion {
-		w.fuse = buildFusionTable(plan)
-	}
 	if err := w.setup(cfg); err != nil {
 		return nil, err
 	}
+	return w, nil
+}
 
+// run executes every processor's body and gathers the result.
+func (w *world) run(cfg Config) (*Result, error) {
 	if w.mn {
 		w.runSched(cfg.SchedWorkers, (*proc).run)
 	} else {
@@ -505,36 +519,9 @@ func (w *world) setup(cfg Config) error {
 			w.mesh.Size(), w.master[0].Len(), w.master[1].Len(), w.mesh, minBlock, maxGhost)
 	}
 
-	// Segment every statement list the program can reach, once, shared by
-	// all processors (segments()).
-	w.segs = map[*ir.Stmt][]comm.Segment{}
-	var walk func(stmts []ir.Stmt)
-	walk = func(stmts []ir.Stmt) {
-		if len(stmts) == 0 {
-			return
-		}
-		if _, ok := w.segs[&stmts[0]]; ok {
-			return
-		}
-		w.segs[&stmts[0]] = comm.SplitSegments(stmts)
-		for _, s := range stmts {
-			switch s := s.(type) {
-			case *ir.If:
-				walk(s.Then)
-				walk(s.Else)
-			case *ir.Repeat:
-				walk(s.Body)
-			case *ir.While:
-				walk(s.Body)
-			case *ir.For:
-				walk(s.Body)
-			}
-		}
-	}
-	walk(prog.Main.Body)
-	for _, pr := range prog.Procs {
-		walk(pr.Body)
-	}
+	// Lower every body the program can reach into its op stream, once,
+	// shared by all processors (ops.go).
+	w.lower(!w.interp && !cfg.ForceNoFusion)
 
 	// Resolve the collective algorithm and build every rank's hop
 	// schedule, but only when a reduction can actually execute: the plan
@@ -683,6 +670,7 @@ func (w *world) gather() *Result {
 		res.PerProcMsgs[st.rank] = st.messages
 		res.Messages += st.messages
 		res.BytesSent += st.bytesSent
+		w.schedsBuilt += st.schedsBuilt
 		if st.rank == 0 {
 			res.DynamicTransfers = st.dynTransfers
 			res.Reductions = st.reductions

@@ -1,6 +1,8 @@
 package rt
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -355,31 +357,115 @@ func TestWritelnOnlyRankZero(t *testing.T) {
 	}
 }
 
-func TestLiteralRegionWavefront(t *testing.T) {
-	// A serialized row recurrence: row i depends on row i-1.
-	src := `
+// wavefrontSrc sweeps a literal one-row region down the array: the
+// region's bounds read the loop variable, so every op of the loop body —
+// the north transfer, the fused pair, the reduction — resolves a new
+// region on every iteration. The triangular statement changes its row
+// length every iteration, so its kernel cannot simply be re-targeted; the
+// final statement's literal region reads only a config, so it is
+// evaluated once per run.
+const wavefrontSrc = `
 program wave;
-config var n : integer = 8;
+config var n : integer = 16;
 region R = [1..n, 1..n];
-direction north = [-1, 0];
-var A : [R] float;
+direction north = [-1, 0]; east = [0, 1]; west = [0, -1];
+var A, B : [R] float;
+var s : float;
 procedure main();
 begin
+  [R] A := Index1 * 0.5 + Index2;
+  [R] B := 0.0;
   [1..1, 1..n] A := 1.0;
   for i := 2 to n do
-    [i..i, 1..n] A := A@north + 1.0;
+    [i..i, 2..n-1] begin
+      A := A@north + 0.25 * (A@east + A@west);
+      B := A * 2.0 + B;
+    end;
+    [i..i, 1..n] s := s + +<< A;
+    [i..i, 1..i] B := B + A@north;
   end;
+  [2..n-1, 2..n-1] B := B * 0.5 + A@east;
+  writeln("s = ", s);
 end;
 `
-	for _, lib := range []string{"pvm", "shmem"} {
-		res := run(t, src, 4, lib, nil)
-		a := res.Array("A")
-		for i := 1; i <= 8; i++ {
-			if got := a.At(i, 3, 1); got != float64(i) {
-				t.Fatalf("%s: A(%d,3) = %v, want %v", lib, i, got, float64(i))
+
+// TestLiteralRegionWavefront runs a serialized row recurrence on every
+// mesh size of interest under both binding styles and requires the
+// kernel-and-fusion engine to match the interpreter and no-fusion oracles
+// bit for bit — arrays, output, clocks and message counts — and every
+// array element to match a serial reference.
+func TestLiteralRegionWavefront(t *testing.T) {
+	prog, plan := compile(t, wavefrontSrc)
+	const n = 16
+	ref := wavefrontReference(n)
+	for _, procs := range []int{1, 4, 16, 64} {
+		for _, lib := range []string{"pvm", "shmem"} {
+			runWith := func(interp, noFuse bool) *Result {
+				res, err := Run(prog, plan, Config{
+					Machine: machine.T3D(), Library: lib, Procs: procs,
+					ForceInterpreter: interp, ForceNoFusion: noFuse,
+				})
+				if err != nil {
+					t.Fatalf("procs=%d %s interp=%v noFuse=%v: %v", procs, lib, interp, noFuse, err)
+				}
+				return res
+			}
+			got := runWith(false, false)
+			label := fmt.Sprintf("procs=%d %s", procs, lib)
+			mustMatch(t, label+" vs interpreter", got, runWith(true, false))
+			mustMatch(t, label+" vs no-fusion", got, runWith(false, true))
+			for name, want := range ref {
+				d := got.Array(name)
+				for i := 1; i <= n; i++ {
+					for j := 1; j <= n; j++ {
+						if v := d.At(i, j, 1); math.Float64bits(v) != math.Float64bits(want[i][j]) {
+							t.Fatalf("%s: %s(%d,%d) = %v, serial reference %v", label, name, i, j, v, want[i][j])
+						}
+					}
+				}
 			}
 		}
 	}
+}
+
+// wavefrontReference evaluates wavefrontSrc's arrays serially in plain Go,
+// operation for operation, as an oracle independent of the runtime.
+func wavefrontReference(n int) map[string][][]float64 {
+	grid2 := func() [][]float64 {
+		g := make([][]float64, n+2)
+		for i := range g {
+			g[i] = make([]float64, n+2)
+		}
+		return g
+	}
+	A, B := grid2(), grid2()
+	for i := 1; i <= n; i++ {
+		for j := 1; j <= n; j++ {
+			A[i][j] = float64(i)*0.5 + float64(j)
+		}
+	}
+	for j := 1; j <= n; j++ {
+		A[1][j] = 1
+	}
+	for i := 2; i <= n; i++ {
+		row := make([]float64, n+2)
+		for j := 2; j <= n-1; j++ {
+			row[j] = A[i-1][j] + 0.25*(A[i][j+1]+A[i][j-1])
+		}
+		for j := 2; j <= n-1; j++ {
+			A[i][j] = row[j]
+			B[i][j] = A[i][j]*2.0 + B[i][j]
+		}
+		for j := 1; j <= i; j++ {
+			B[i][j] = B[i][j] + A[i-1][j]
+		}
+	}
+	for i := 2; i <= n-1; i++ {
+		for j := 2; j <= n-1; j++ {
+			B[i][j] = B[i][j]*0.5 + A[i][j+1]
+		}
+	}
+	return map[string][][]float64{"A": A, "B": B}
 }
 
 func TestMeshAssignment(t *testing.T) {
