@@ -124,8 +124,8 @@ func TestCollectiveAlgorithmsAgree(t *testing.T) {
 								t.Errorf("DynamicTransfers: %s %d, star %d", alg, got.DynamicTransfers, ref.DynamicTransfers)
 							}
 							for _, a := range tgt.prog.IR.Arrays {
-								if d := got.MaxAbsDiff(ref, a.Name); d != 0 {
-									t.Errorf("array %s: max abs diff %g vs star, want bit-identical", a.Name, d)
+								if i, ok := got.SameBits(ref, a.Name); !ok {
+									t.Errorf("array %s: element %d differs vs star, want bit-identical", a.Name, i)
 								}
 							}
 						})
@@ -190,8 +190,8 @@ func TestCollectiveSchedOracle(t *testing.T) {
 						}
 					}
 					for _, a := range prog.IR.Arrays {
-						if d := sched.MaxAbsDiff(oracle, a.Name); d != 0 {
-							t.Errorf("array %s: max abs diff %g, want bit-identical", a.Name, d)
+						if i, ok := sched.SameBits(oracle, a.Name); !ok {
+							t.Errorf("array %s: element %d differs, want bit-identical", a.Name, i)
 						}
 					}
 				})

@@ -106,8 +106,8 @@ func TestCommMatchesLegacy(t *testing.T) {
 							}
 						}
 						for _, a := range tgt.prog.IR.Arrays {
-							if d := pooled.MaxAbsDiff(oracle, a.Name); d != 0 {
-								t.Errorf("array %s: max abs diff %g, want bit-identical", a.Name, d)
+							if i, ok := pooled.SameBits(oracle, a.Name); !ok {
+								t.Errorf("array %s: element %d differs, want bit-identical", a.Name, i)
 							}
 						}
 					})

@@ -102,8 +102,8 @@ func TestFusionMatchesUnfused(t *testing.T) {
 							t.Errorf("Output differs:\nfused:   %q\nunfused: %q", fused.Output, oracle.Output)
 						}
 						for _, a := range tgt.prog.IR.Arrays {
-							if d := fused.MaxAbsDiff(oracle, a.Name); d != 0 {
-								t.Errorf("array %s: max abs diff %g, want bit-identical", a.Name, d)
+							if i, ok := fused.SameBits(oracle, a.Name); !ok {
+								t.Errorf("array %s: element %d differs, want bit-identical", a.Name, i)
 							}
 						}
 					})
@@ -164,8 +164,8 @@ func TestOverlapMatchesSynchronous(t *testing.T) {
 					t.Errorf("Output differs:\noverlap:     %q\nsynchronous: %q", over.Output, sync.Output)
 				}
 				for _, a := range prog.IR.Arrays {
-					if d := over.MaxAbsDiff(sync, a.Name); d != 0 {
-						t.Errorf("array %s: max abs diff %g, want bit-identical", a.Name, d)
+					if i, ok := over.SameBits(sync, a.Name); !ok {
+						t.Errorf("array %s: element %d differs, want bit-identical", a.Name, i)
 					}
 				}
 			})

@@ -82,8 +82,8 @@ func TestHoistPreservesResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, name := range []string{"T", "Tn", "K"} {
-			if d := plain.MaxAbsDiff(hoisted, name); d != 0 {
-				t.Errorf("%s: array %s differs by %g under hoisting", lib, name, d)
+			if i, ok := plain.SameBits(hoisted, name); !ok {
+				t.Errorf("%s: array %s differs at element %d under hoisting", lib, name, i)
 			}
 		}
 	}
@@ -131,8 +131,8 @@ func TestHoistOnSuite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range prog.IR.Arrays {
-		if d := plain.MaxAbsDiff(hoisted, a.Name); d != 0 {
-			t.Errorf("simple: array %s differs by %g under hoisting", a.Name, d)
+		if i, ok := plain.SameBits(hoisted, a.Name); !ok {
+			t.Errorf("simple: array %s differs at element %d under hoisting", a.Name, i)
 		}
 	}
 	if got, want := hoisted.DynamicTransfers-plain.DynamicTransfers, 8; got != want {

@@ -65,8 +65,8 @@ func TestInliningPreservesResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"A", "B", "C", "D"} {
-		if d := plain.MaxAbsDiff(inlRes, name); d != 0 {
-			t.Errorf("array %s differs by %g after inlining", name, d)
+		if i, ok := plain.SameBits(inlRes, name); !ok {
+			t.Errorf("array %s differs at element %d after inlining", name, i)
 		}
 	}
 }

@@ -410,7 +410,7 @@ func (p *proc) compileFused(fr *fuseRun, base grid.Region) *fusedKernel {
 			rows:  fk.size / fk.L,
 			mode:  storeModeFor(s, fr.inner),
 		}
-		k.row, k.shape = kc.root(s.RHS)
+		k.row = kc.node(s.RHS)
 		if !kc.ok {
 			return nil
 		}

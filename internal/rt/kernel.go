@@ -96,7 +96,6 @@ type kernel struct {
 	slots int // scratch rows needed by the expression tree
 	mode  storeMode
 	row   vec
-	shape string // fill, copy, bin, axpy, gen — for benchmarks/inspection
 
 	// reads lists the containment checks the compile passed (the LHS and
 	// every array reference). The compiled closures depend on the region
@@ -272,7 +271,7 @@ func (p *proc) compileKernel(s *ir.AssignArray, local grid.Region) *kernel {
 		rows:  local.Size() / kc.L,
 		mode:  storeModeFor(s, inner),
 	}
-	k.row, k.shape = kc.root(s.RHS)
+	k.row = kc.node(s.RHS)
 	if !kc.ok {
 		return nil
 	}
@@ -459,33 +458,146 @@ func (kc *kcompiler) viewOf(e *ir.ArrayRef) vec {
 	}
 }
 
-// root compiles the top of an assignment RHS, trying the specialized
-// statement shapes before falling back to the generic tree compiler.
-func (kc *kcompiler) root(e ir.Expr) (vec, string) {
-	// Constant / scalar fill: the value is row-invariant; evaluate it
-	// once per row through the interpreter's (cached) scalar closure so
-	// scalars that change between executions are re-read.
+// operand compiles e as a row evaluator that ignores its dst argument, for
+// a binary operator's right side: an array reference is a zero-copy view
+// and needs no scratch row; anything else evaluates into a slot of its own.
+func (kc *kcompiler) operand(e ir.Expr) vec {
+	if ref, isRef := e.(*ir.ArrayRef); isRef {
+		return kc.viewOf(ref)
+	}
+	v := kc.node(e)
+	s, L := kc.slot(), kc.L
+	return func(c *kctx, _ []float64) []float64 {
+		return v(c, c.scratch[s*L:s*L+L])
+	}
+}
+
+// node is the tree compiler: every operator becomes one loop over a row,
+// with subexpression results flowing through views or scratch slots. The
+// row primitives below — a scalar operand applied in place (rowScalar,
+// scalarRow), two operators in one pass (axpy, chain) — shorten the loop
+// chain but never the arithmetic: each element performs exactly the
+// interpreter's operations in the interpreter's order, with no algebraic
+// rewriting (no reassociation, no x/s to x*(1/s), no 0-x to -x), so
+// values are bit-identical, signed zeros included. Only the NaN a
+// both-NaN operation returns may differ (see Result.SameBits).
+func (kc *kcompiler) node(e ir.Expr) vec {
 	if scalarOnly(e) {
-		fn := kc.p.compile(e)
+		return kc.fill(e)
+	}
+	switch e := e.(type) {
+	case *ir.ArrayRef:
+		return kc.viewOf(e)
+
+	case *ir.IndexRef:
+		d := e.Dim - 1
+		if d == kc.inner {
+			return func(c *kctx, dst []float64) []float64 {
+				lo := c.coord(d)
+				for n := range dst {
+					dst[n] = float64(lo + n)
+				}
+				return dst
+			}
+		}
 		return func(c *kctx, dst []float64) []float64 {
-			v := fn(0, 0, 0)
+			v := float64(c.coord(d))
 			for n := range dst {
 				dst[n] = v
 			}
 			return dst
-		}, "fill"
+		}
+
+	case *ir.Unary:
+		return kc.memoize(e, func() vec {
+			x := kc.node(e.X)
+			if e.Op == zpl.MINUS {
+				return func(c *kctx, dst []float64) []float64 {
+					xs := x(c, dst)[:len(dst)]
+					for n := range dst {
+						dst[n] = -xs[n]
+					}
+					return dst
+				}
+			}
+			return func(c *kctx, dst []float64) []float64 {
+				xs := x(c, dst)[:len(dst)]
+				for n := range dst {
+					dst[n] = boolVal(xs[n] == 0)
+				}
+				return dst
+			}
+		})
+
+	case *ir.Binary:
+		return kc.memoize(e, func() vec { return kc.binary(e) })
+
+	case *ir.Intrinsic:
+		return kc.memoize(e, func() vec { return kc.intrinsic(e) })
 	}
-	// Straight copy: B := A@d is one contiguous memmove per row.
-	if ref, isRef := e.(*ir.ArrayRef); isRef {
-		return kc.viewOf(ref), "copy"
+	// Reductions never appear below statement level (see eval.go).
+	kc.ok = false
+	return nil
+}
+
+// fill compiles a scalar-invariant expression as a per-row broadcast of
+// the interpreter closure's value, re-read every row so scalars that
+// change between executions are seen.
+func (kc *kcompiler) fill(e ir.Expr) vec {
+	fn := kc.p.compile(e)
+	return func(c *kctx, dst []float64) []float64 {
+		v := fn(0, 0, 0)
+		for n := range dst {
+			dst[n] = v
+		}
+		return dst
 	}
+}
+
+// binary compiles a vector-valued binary node. A scalar-invariant operand
+// is evaluated once per row through the interpreter's closure and applied
+// in place, so it costs neither a broadcast pass nor a scratch row.
+func (kc *kcompiler) binary(e *ir.Binary) vec {
 	if v := kc.axpy(e); v != nil {
-		return v, "axpy"
+		return v
 	}
-	if v := kc.binFast(e); v != nil {
-		return v, "bin"
+	op := e.Op
+	switch {
+	case scalarOnly(e.Y):
+		x, s := kc.node(e.X), kc.p.compile(e.Y)
+		return func(c *kctx, dst []float64) []float64 {
+			rowScalar(op, dst, x(c, dst), s(0, 0, 0))
+			return dst
+		}
+	case scalarOnly(e.X):
+		s, y := kc.p.compile(e.X), kc.node(e.Y)
+		return func(c *kctx, dst []float64) []float64 {
+			scalarRow(op, dst, s(0, 0, 0), y(c, dst))
+			return dst
+		}
 	}
-	return kc.node(e), "gen"
+	if v := kc.chain(e); v != nil {
+		return v
+	}
+	x, y := kc.node(e.X), kc.operand(e.Y)
+	return func(c *kctx, dst []float64) []float64 {
+		binRow(op, dst, x(c, dst), y(c, nil))
+		return dst
+	}
+}
+
+// arith reports whether op is one of the four operators the row loops
+// spell out; every other operator goes through evalBinary per element.
+func arith(op zpl.Kind) bool {
+	return op == zpl.PLUS || op == zpl.MINUS || op == zpl.STAR || op == zpl.SLASH
+}
+
+// shared reports whether e is a subtree the fused run's CSE pre-pass
+// indexed. A primitive that would absorb it into a wider loop leaves it
+// alone, so the subtree keeps its memo row.
+func (kc *kcompiler) shared(e ir.Expr) bool {
+	_, ok := kc.cse[e]
+	return ok
 }
 
 // axpy recognizes s*X ± Y, X*s ± Y and Y + s*X (s scalar, X/Y array
@@ -493,14 +605,13 @@ func (kc *kcompiler) root(e ir.Expr) (vec, string) {
 // the intermediate product to a rounded double, forbidding FMA
 // contraction so results stay bit-identical to the interpreter's
 // two-step evaluation on every architecture.
-func (kc *kcompiler) axpy(e ir.Expr) vec {
-	b, isBin := e.(*ir.Binary)
-	if !isBin || (b.Op != zpl.PLUS && b.Op != zpl.MINUS) {
+func (kc *kcompiler) axpy(b *ir.Binary) vec {
+	if b.Op != zpl.PLUS && b.Op != zpl.MINUS {
 		return nil
 	}
 	split := func(e ir.Expr) (ir.Expr, *ir.ArrayRef) {
 		m, isMul := e.(*ir.Binary)
-		if !isMul || m.Op != zpl.STAR {
+		if !isMul || m.Op != zpl.STAR || kc.shared(m) {
 			return nil, nil
 		}
 		if x, isRef := m.Y.(*ir.ArrayRef); isRef && scalarOnly(m.X) {
@@ -515,13 +626,10 @@ func (kc *kcompiler) axpy(e ir.Expr) vec {
 		if y, isRef := b.Y.(*ir.ArrayRef); isRef {
 			sfn := kc.p.compile(s)
 			xv, yv := kc.viewOf(x), kc.viewOf(y)
-			if !kc.ok {
-				return nil
-			}
 			sub := b.Op == zpl.MINUS
 			return func(c *kctx, dst []float64) []float64 {
 				v := sfn(0, 0, 0)
-				xs, ys := xv(c, nil), yv(c, nil)
+				xs, ys := xv(c, nil)[:len(dst)], yv(c, nil)[:len(dst)]
 				if sub {
 					for n := range dst {
 						dst[n] = float64(v*xs[n]) - ys[n]
@@ -540,12 +648,9 @@ func (kc *kcompiler) axpy(e ir.Expr) vec {
 			if y, isRef := b.X.(*ir.ArrayRef); isRef {
 				sfn := kc.p.compile(s)
 				xv, yv := kc.viewOf(x), kc.viewOf(y)
-				if !kc.ok {
-					return nil
-				}
 				return func(c *kctx, dst []float64) []float64 {
 					v := sfn(0, 0, 0)
-					xs, ys := xv(c, nil), yv(c, nil)
+					xs, ys := xv(c, nil)[:len(dst)], yv(c, nil)[:len(dst)]
 					for n := range dst {
 						dst[n] = ys[n] + float64(v*xs[n])
 					}
@@ -557,95 +662,35 @@ func (kc *kcompiler) axpy(e ir.Expr) vec {
 	return nil
 }
 
-// binFast fuses a root +,-,*,/ whose operands are array references or
-// scalar-invariant expressions into a single loop over views.
-func (kc *kcompiler) binFast(e ir.Expr) vec {
-	b, isBin := e.(*ir.Binary)
-	if !isBin {
+// chain compiles (X op1 A) op2 B — A and B array references, both
+// operators arithmetic — as one pass over the row after X's, instead of
+// two binRow passes over dst. Left-deep sums such as a stencil's
+// A@east + A@west + A@north + A@south take half the passes.
+func (kc *kcompiler) chain(e *ir.Binary) vec {
+	in, isBin := e.X.(*ir.Binary)
+	if !isBin || !arith(e.Op) || !arith(in.Op) || scalarOnly(in.X) || kc.shared(in) {
 		return nil
 	}
-	switch b.Op {
-	case zpl.PLUS, zpl.MINUS, zpl.STAR, zpl.SLASH:
-	default:
+	a, aRef := in.Y.(*ir.ArrayRef)
+	b, bRef := e.Y.(*ir.ArrayRef)
+	if !aRef || !bRef {
 		return nil
 	}
-	xr, xIsRef := b.X.(*ir.ArrayRef)
-	yr, yIsRef := b.Y.(*ir.ArrayRef)
-	op := b.Op
-	switch {
-	case xIsRef && yIsRef:
-		xv, yv := kc.viewOf(xr), kc.viewOf(yr)
-		if !kc.ok {
-			return nil
-		}
-		return func(c *kctx, dst []float64) []float64 {
-			xs, ys := xv(c, nil), yv(c, nil)
-			binRow(op, dst, xs, ys)
-			return dst
-		}
-	case xIsRef && scalarOnly(b.Y):
-		xv := kc.viewOf(xr)
-		yfn := kc.p.compile(b.Y)
-		if !kc.ok {
-			return nil
-		}
-		return func(c *kctx, dst []float64) []float64 {
-			xs, v := xv(c, nil), yfn(0, 0, 0)
-			switch op {
-			case zpl.PLUS:
-				for n := range dst {
-					dst[n] = xs[n] + v
-				}
-			case zpl.MINUS:
-				for n := range dst {
-					dst[n] = xs[n] - v
-				}
-			case zpl.STAR:
-				for n := range dst {
-					dst[n] = xs[n] * v
-				}
-			default:
-				for n := range dst {
-					dst[n] = xs[n] / v
-				}
-			}
-			return dst
-		}
-	case yIsRef && scalarOnly(b.X):
-		yv := kc.viewOf(yr)
-		xfn := kc.p.compile(b.X)
-		if !kc.ok {
-			return nil
-		}
-		return func(c *kctx, dst []float64) []float64 {
-			v, ys := xfn(0, 0, 0), yv(c, nil)
-			switch op {
-			case zpl.PLUS:
-				for n := range dst {
-					dst[n] = v + ys[n]
-				}
-			case zpl.MINUS:
-				for n := range dst {
-					dst[n] = v - ys[n]
-				}
-			case zpl.STAR:
-				for n := range dst {
-					dst[n] = v * ys[n]
-				}
-			default:
-				for n := range dst {
-					dst[n] = v / ys[n]
-				}
-			}
-			return dst
-		}
+	x, av, bv := kc.node(in.X), kc.viewOf(a), kc.viewOf(b)
+	op1, op2 := in.Op, e.Op
+	return func(c *kctx, dst []float64) []float64 {
+		chainRow(op1, op2, dst, x(c, dst), av(c, nil), bv(c, nil))
+		return dst
 	}
-	return nil
 }
 
-// binRow applies one arithmetic operator elementwise. Aliasing between
-// dst and an operand is safe: each element is read before it is written.
+// Row loops. Each re-slices its operands to len(dst) first, which lets
+// the compiler drop the per-element bounds checks. Aliasing between dst
+// and an operand is safe: each element is read before it is written.
+
+// binRow applies one operator elementwise: dst[n] = xs[n] op ys[n].
 func binRow(op zpl.Kind, dst, xs, ys []float64) {
+	xs, ys = xs[:len(dst)], ys[:len(dst)]
 	switch op {
 	case zpl.PLUS:
 		for n := range dst {
@@ -670,181 +715,202 @@ func binRow(op zpl.Kind, dst, xs, ys []float64) {
 	}
 }
 
-// node is the generic tree compiler: every operator becomes one loop over
-// rows, with subexpression results flowing through views or scratch
-// slots. Each node performs exactly the interpreter's arithmetic per
-// element (one operation per loop, no refactoring), so values are
-// bit-identical.
-func (kc *kcompiler) node(e ir.Expr) vec {
-	switch e := e.(type) {
-	case *ir.Const, *ir.ScalarRef:
-		fn := kc.p.compile(e)
-		return func(c *kctx, dst []float64) []float64 {
-			v := fn(0, 0, 0)
-			for n := range dst {
-				dst[n] = v
-			}
-			return dst
+// rowScalar is binRow with a row-invariant right operand.
+func rowScalar(op zpl.Kind, dst, xs []float64, v float64) {
+	xs = xs[:len(dst)]
+	switch op {
+	case zpl.PLUS:
+		for n := range dst {
+			dst[n] = xs[n] + v
 		}
-
-	case *ir.ArrayRef:
-		return kc.viewOf(e)
-
-	case *ir.IndexRef:
-		d := e.Dim - 1
-		if d == kc.inner {
-			return func(c *kctx, dst []float64) []float64 {
-				lo := c.coord(d)
-				for n := range dst {
-					dst[n] = float64(lo + n)
-				}
-				return dst
-			}
+	case zpl.MINUS:
+		for n := range dst {
+			dst[n] = xs[n] - v
 		}
-		return func(c *kctx, dst []float64) []float64 {
-			v := float64(c.coord(d))
-			for n := range dst {
-				dst[n] = v
-			}
-			return dst
+	case zpl.STAR:
+		for n := range dst {
+			dst[n] = xs[n] * v
 		}
-
-	case *ir.Unary:
-		// Scalar-invariant subtrees collapse to one closure call per row.
-		if scalarOnly(e) {
-			return kc.node2fill(e)
+	case zpl.SLASH:
+		for n := range dst {
+			dst[n] = xs[n] / v
 		}
-		return kc.memoize(e, func() vec {
-			x := kc.node(e.X)
-			if e.Op == zpl.MINUS {
-				return func(c *kctx, dst []float64) []float64 {
-					xs := x(c, dst)
-					for n := range dst {
-						dst[n] = -xs[n]
-					}
-					return dst
-				}
-			}
-			return func(c *kctx, dst []float64) []float64 {
-				xs := x(c, dst)
-				for n := range dst {
-					dst[n] = boolVal(xs[n] == 0)
-				}
-				return dst
-			}
-		})
-
-	case *ir.Binary:
-		if scalarOnly(e) {
-			return kc.node2fill(e)
+	default:
+		for n := range dst {
+			dst[n] = evalBinary(op, xs[n], v)
 		}
-		return kc.memoize(e, func() vec {
-			x := kc.node(e.X)
-			y := kc.node(e.Y)
-			ys := kc.slot()
-			op := e.Op
-			L := kc.L
-			return func(c *kctx, dst []float64) []float64 {
-				xs := x(c, dst)
-				yr := y(c, c.scratch[ys*L:ys*L+L])
-				binRow(op, dst, xs, yr)
-				return dst
-			}
-		})
-
-	case *ir.Intrinsic:
-		if scalarOnly(e) {
-			return kc.node2fill(e)
-		}
-		return kc.memoize(e, func() vec { return kc.intrinsic(e) })
-
-	case *ir.Reduce:
-		// Reductions never appear below statement level (see eval.go).
-		kc.ok = false
-		return nil
 	}
-	kc.ok = false
-	return nil
 }
 
-// node2fill compiles a scalar-invariant subtree as a per-row broadcast of
-// the interpreter closure's value.
-func (kc *kcompiler) node2fill(e ir.Expr) vec {
-	fn := kc.p.compile(e)
-	return func(c *kctx, dst []float64) []float64 {
-		v := fn(0, 0, 0)
+// scalarRow is binRow with a row-invariant left operand.
+func scalarRow(op zpl.Kind, dst []float64, v float64, ys []float64) {
+	ys = ys[:len(dst)]
+	switch op {
+	case zpl.PLUS:
 		for n := range dst {
-			dst[n] = v
+			dst[n] = v + ys[n]
 		}
-		return dst
+	case zpl.MINUS:
+		for n := range dst {
+			dst[n] = v - ys[n]
+		}
+	case zpl.STAR:
+		for n := range dst {
+			dst[n] = v * ys[n]
+		}
+	case zpl.SLASH:
+		for n := range dst {
+			dst[n] = v / ys[n]
+		}
+	default:
+		for n := range dst {
+			dst[n] = evalBinary(op, v, ys[n])
+		}
+	}
+}
+
+// chainRow computes dst[n] = (xs[n] op1 as[n]) op2 bs[n] for arithmetic
+// op1 and op2. The float64 conversion rounds the inner result exactly as
+// the interpreter's separate operation does and forbids FMA contraction.
+func chainRow(op1, op2 zpl.Kind, dst, xs, as, bs []float64) {
+	xs, as, bs = xs[:len(dst)], as[:len(dst)], bs[:len(dst)]
+	switch op1 {
+	case zpl.PLUS:
+		switch op2 {
+		case zpl.PLUS:
+			for n := range dst {
+				dst[n] = float64(xs[n]+as[n]) + bs[n]
+			}
+		case zpl.MINUS:
+			for n := range dst {
+				dst[n] = float64(xs[n]+as[n]) - bs[n]
+			}
+		case zpl.STAR:
+			for n := range dst {
+				dst[n] = float64(xs[n]+as[n]) * bs[n]
+			}
+		default:
+			for n := range dst {
+				dst[n] = float64(xs[n]+as[n]) / bs[n]
+			}
+		}
+	case zpl.MINUS:
+		switch op2 {
+		case zpl.PLUS:
+			for n := range dst {
+				dst[n] = float64(xs[n]-as[n]) + bs[n]
+			}
+		case zpl.MINUS:
+			for n := range dst {
+				dst[n] = float64(xs[n]-as[n]) - bs[n]
+			}
+		case zpl.STAR:
+			for n := range dst {
+				dst[n] = float64(xs[n]-as[n]) * bs[n]
+			}
+		default:
+			for n := range dst {
+				dst[n] = float64(xs[n]-as[n]) / bs[n]
+			}
+		}
+	case zpl.STAR:
+		switch op2 {
+		case zpl.PLUS:
+			for n := range dst {
+				dst[n] = float64(xs[n]*as[n]) + bs[n]
+			}
+		case zpl.MINUS:
+			for n := range dst {
+				dst[n] = float64(xs[n]*as[n]) - bs[n]
+			}
+		case zpl.STAR:
+			for n := range dst {
+				dst[n] = float64(xs[n]*as[n]) * bs[n]
+			}
+		default:
+			for n := range dst {
+				dst[n] = float64(xs[n]*as[n]) / bs[n]
+			}
+		}
+	default:
+		switch op2 {
+		case zpl.PLUS:
+			for n := range dst {
+				dst[n] = float64(xs[n]/as[n]) + bs[n]
+			}
+		case zpl.MINUS:
+			for n := range dst {
+				dst[n] = float64(xs[n]/as[n]) - bs[n]
+			}
+		case zpl.STAR:
+			for n := range dst {
+				dst[n] = float64(xs[n]/as[n]) * bs[n]
+			}
+		default:
+			for n := range dst {
+				dst[n] = float64(xs[n]/as[n]) / bs[n]
+			}
+		}
 	}
 }
 
 func (kc *kcompiler) intrinsic(e *ir.Intrinsic) vec {
-	args := make([]vec, len(e.Args))
-	for n, a := range e.Args {
-		args[n] = kc.node(a)
-	}
 	switch e.Fn {
 	case ir.FnAbs:
-		x := args[0]
+		x := kc.node(e.Args[0])
 		return func(c *kctx, dst []float64) []float64 {
-			xs := x(c, dst)
+			xs := x(c, dst)[:len(dst)]
 			for n := range dst {
 				dst[n] = math.Abs(xs[n])
 			}
 			return dst
 		}
 	case ir.FnSqrt:
-		x := args[0]
+		x := kc.node(e.Args[0])
 		return func(c *kctx, dst []float64) []float64 {
-			xs := x(c, dst)
+			xs := x(c, dst)[:len(dst)]
 			for n := range dst {
 				dst[n] = math.Sqrt(xs[n])
 			}
 			return dst
 		}
 	case ir.FnMax, ir.FnMin:
-		x, y := args[0], args[1]
-		ys := kc.slot()
+		x, y := kc.node(e.Args[0]), kc.operand(e.Args[1])
 		isMax := e.Fn == ir.FnMax
-		L := kc.L
 		return func(c *kctx, dst []float64) []float64 {
-			xs := x(c, dst)
-			yr := y(c, c.scratch[ys*L:ys*L+L])
+			xs := x(c, dst)[:len(dst)]
+			ys := y(c, nil)[:len(dst)]
 			if isMax {
 				for n := range dst {
-					dst[n] = math.Max(xs[n], yr[n])
+					dst[n] = math.Max(xs[n], ys[n])
 				}
 			} else {
 				for n := range dst {
-					dst[n] = math.Min(xs[n], yr[n])
+					dst[n] = math.Min(xs[n], ys[n])
 				}
 			}
 			return dst
 		}
-	default:
-		fn := e.Fn
-		slots := make([]int, len(args))
+	}
+	args := make([]vec, len(e.Args))
+	args[0] = kc.node(e.Args[0])
+	for n := 1; n < len(args); n++ {
+		args[n] = kc.operand(e.Args[n])
+	}
+	fn := e.Fn
+	vals := make([]float64, len(args))
+	rows := make([][]float64, len(args))
+	return func(c *kctx, dst []float64) []float64 {
+		rows[0] = args[0](c, dst)
 		for n := 1; n < len(args); n++ {
-			slots[n] = kc.slot()
+			rows[n] = args[n](c, nil)
 		}
-		L := kc.L
-		vals := make([]float64, len(args))
-		rows := make([][]float64, len(args))
-		return func(c *kctx, dst []float64) []float64 {
-			rows[0] = args[0](c, dst)
-			for n := 1; n < len(args); n++ {
-				s := slots[n]
-				rows[n] = args[n](c, c.scratch[s*L:s*L+L])
+		for i := range dst {
+			for n := range rows {
+				vals[n] = rows[n][i]
 			}
-			for i := range dst {
-				for n := range rows {
-					vals[n] = rows[n][i]
-				}
-				dst[i] = evalIntrinsic(fn, vals)
-			}
-			return dst
+			dst[i] = evalIntrinsic(fn, vals)
 		}
+		return dst
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"commopt/internal/collective"
 	"commopt/internal/comm"
 	"commopt/internal/critpath"
-	"commopt/internal/field"
 	"commopt/internal/grid"
 	"commopt/internal/ir"
 	"commopt/internal/machine"
@@ -228,14 +227,11 @@ func (r *Result) Array(name string) *Dense { return r.arrays[name] }
 
 // MaxAbsDiff returns the largest absolute elementwise difference between
 // the named array in r and in other (for parallel-vs-serial validation).
+// It is a tolerance check: a NaN on one side against a number on the
+// other, or -0 against +0, reads as no difference. Use SameBits to check
+// that two runs agree exactly.
 func (r *Result) MaxAbsDiff(other *Result, name string) float64 {
-	a, b := r.arrays[name], other.arrays[name]
-	if a == nil || b == nil {
-		panic(fmt.Sprintf("rt: array %q missing from result", name))
-	}
-	if a.Reg != b.Reg {
-		panic(fmt.Sprintf("rt: array %q shape mismatch: %v vs %v", name, a.Reg, b.Reg))
-	}
+	a, b := r.pair(other, name)
 	worst := 0.0
 	for i := range a.data {
 		d := math.Abs(a.data[i] - b.data[i])
@@ -244,6 +240,38 @@ func (r *Result) MaxAbsDiff(other *Result, name string) float64 {
 		}
 	}
 	return worst
+}
+
+// SameBits reports whether the named array holds the same bit pattern at
+// every element in r and in other, so -0 differs from +0 and NaN from
+// every number. NaNs all compare equal to each other: neither IEEE 754
+// nor Go fixes which operand's NaN an operation returns when both are
+// NaN, and the Go compiler may swap the operands of + and * — the
+// interpreter's closures and the kernels' row loops do return opposite
+// operands. When the arrays differ, index is the first differing element
+// in row-major order over the array's region; otherwise it is -1.
+func (r *Result) SameBits(other *Result, name string) (index int, ok bool) {
+	a, b := r.pair(other, name)
+	for i, x := range a.data {
+		y := b.data[i]
+		if math.Float64bits(x) != math.Float64bits(y) && !(math.IsNaN(x) && math.IsNaN(y)) {
+			return i, false
+		}
+	}
+	return -1, true
+}
+
+// pair returns the named array from r and from other, panicking when
+// either lacks it or their regions differ.
+func (r *Result) pair(other *Result, name string) (a, b *Dense) {
+	a, b = r.arrays[name], other.arrays[name]
+	if a == nil || b == nil {
+		panic(fmt.Sprintf("rt: array %q missing from result", name))
+	}
+	if a.Reg != b.Reg {
+		panic(fmt.Sprintf("rt: array %q shape mismatch: %v vs %v", name, a.Reg, b.Reg))
+	}
+	return a, b
 }
 
 // world is the state shared by all virtual processors of one run.
@@ -699,8 +727,13 @@ func (w *world) gather() *Result {
 			if !f.Allocated() {
 				continue
 			}
-			field.ForEach(f.Local, func(i, j, k int) {
-				d.data[((i-s[0].Lo)*n1+(j-s[1].Lo))*n2+(k-s[2].Lo)] = f.At(i, j, k)
+			// The last dimension of the array's rank is contiguous in both
+			// the field and the dense buffer: one copy per row.
+			inner := f.Rank - 1
+			src, L := f.Data(), f.Local.Spans[inner].Len()
+			forRows(f.Local, inner, func(i, j, k int) {
+				o, b := ((i-s[0].Lo)*n1+(j-s[1].Lo))*n2+(k-s[2].Lo), f.IndexOf(i, j, k)
+				copy(d.data[o:o+L], src[b:b+L])
 			})
 		}
 		res.arrays[a.Name] = d

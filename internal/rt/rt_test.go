@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"commopt/internal/comm"
+	"commopt/internal/grid"
 	"commopt/internal/ir"
 	"commopt/internal/machine"
 	"commopt/internal/zpl"
@@ -283,8 +284,41 @@ end;
 	if r1.Output != r2.Output {
 		t.Errorf("outputs differ: %q vs %q", r1.Output, r2.Output)
 	}
-	if d := r1.MaxAbsDiff(r2, "A"); d != 0 {
-		t.Errorf("arrays differ by %g", d)
+	if i, ok := r1.SameBits(r2, "A"); !ok {
+		t.Errorf("arrays differ at element %d", i)
+	}
+}
+
+// TestSameBitsCatchesWhatMaxAbsDiffMisses: a NaN against a number and -0
+// against +0 both read as zero difference to MaxAbsDiff; SameBits reports
+// the first such element, and takes any two NaNs as equal.
+func TestSameBitsCatchesWhatMaxAbsDiffMisses(t *testing.T) {
+	result := func(vals ...float64) *Result {
+		reg := grid.NewRegion(1, grid.Span{Lo: 1, Hi: len(vals)})
+		return &Result{arrays: map[string]*Dense{"A": {Rank: 1, Reg: reg, data: vals}}}
+	}
+	base := result(1, 0, 2)
+	for _, c := range []struct {
+		name  string
+		other *Result
+		index int
+	}{
+		{"NaN", result(1, 0, math.NaN()), 2},
+		{"signed zero", result(1, math.Copysign(0, -1), 2), 1},
+	} {
+		if d := base.MaxAbsDiff(c.other, "A"); d != 0 {
+			t.Errorf("%s: MaxAbsDiff = %g; the premise is that it reads 0", c.name, d)
+		}
+		if i, ok := base.SameBits(c.other, "A"); ok || i != c.index {
+			t.Errorf("%s: SameBits = (%d, %v), want (%d, false)", c.name, i, ok, c.index)
+		}
+	}
+	if i, ok := base.SameBits(result(1, 0, 2), "A"); !ok || i != -1 {
+		t.Errorf("identical arrays: SameBits = (%d, %v), want (-1, true)", i, ok)
+	}
+	nan := result(math.NaN())
+	if i, ok := nan.SameBits(result(math.Copysign(math.NaN(), -1)), "A"); !ok {
+		t.Errorf("NaNs of opposite sign: SameBits = (%d, %v), want (-1, true)", i, ok)
 	}
 }
 

@@ -91,8 +91,8 @@ func TestKernelsMatchInterpreter(t *testing.T) {
 						t.Errorf("Output differs:\nkernels:     %q\ninterpreter: %q", kern.Output, oracle.Output)
 					}
 					for _, a := range tgt.prog.IR.Arrays {
-						if d := kern.MaxAbsDiff(oracle, a.Name); d != 0 {
-							t.Errorf("array %s: max abs diff %g, want bit-identical", a.Name, d)
+						if i, ok := kern.SameBits(oracle, a.Name); !ok {
+							t.Errorf("array %s: element %d differs, want bit-identical", a.Name, i)
 						}
 					}
 				})

@@ -106,8 +106,8 @@ func TestSchedMatchesGoroutineOracle(t *testing.T) {
 							}
 						}
 						for _, a := range tgt.prog.IR.Arrays {
-							if d := sched.MaxAbsDiff(oracle, a.Name); d != 0 {
-								t.Errorf("array %s: max abs diff %g, want bit-identical", a.Name, d)
+							if i, ok := sched.SameBits(oracle, a.Name); !ok {
+								t.Errorf("array %s: element %d differs, want bit-identical", a.Name, i)
 							}
 						}
 					})
